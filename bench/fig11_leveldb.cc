@@ -1,5 +1,5 @@
-// Figure 11: leveldb db_bench readrandom throughput (via MiniLevelDb; see
-// DESIGN.md §1) on the 2-socket machine.
+// Figure 11: leveldb db_bench readrandom throughput (via MiniLevelDb, the
+// simulator stand-in in src/apps/mini_leveldb.h) on the 2-socket machine.
 //
 //   (a) pre-filled 1M-key DB: searching outside the lock gives the benchmark
 //       room to scale before the global DB lock saturates; CNA ends ~39%

@@ -1,5 +1,5 @@
-// Figure 12: Kyoto Cabinet kccachetest "wicked" throughput (via MiniKyotoDb;
-// see DESIGN.md §1) on the 2-socket machine: one global interposed mutex,
+// Figure 12: Kyoto Cabinet kccachetest "wicked" throughput (via MiniKyotoDb,
+// src/apps/mini_kyoto.h) on the 2-socket machine: one global interposed mutex,
 // 10M-element key range, time-based runs.
 //
 // Expected shape: best performance at 1 thread (the benchmark anti-scales);

@@ -1,5 +1,6 @@
 // MiniKyotoDb: stand-in for Kyoto Cabinet's kccachetest "wicked" benchmark as
-// the paper runs it (Section 7.1.3, Figure 12).  See DESIGN.md §1.
+// the paper runs it (Section 7.1.3, Figure 12), on the NUMA simulator
+// (sim/machine.h) in place of the real database.
 //
 // Following Dice [Malthusian locks] and the paper: the DB's internal mutexes
 // are replaced by the evaluated POSIX-style lock, the key range is fixed at

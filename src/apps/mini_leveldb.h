@@ -1,5 +1,6 @@
 // MiniLevelDb: stand-in for leveldb 1.20's db_bench readrandom workload
-// (Section 7.1.2, Figure 11).  See DESIGN.md §1 for the substitution.
+// (Section 7.1.2, Figure 11), on the NUMA simulator (sim/machine.h) in place
+// of the real database.
 //
 // What matters for the paper's experiment is the locking profile of Get():
 //   1. "Each Get operation acquires a global database lock in order to take a

@@ -4,11 +4,18 @@
 // Queue locks (MCS, CNA, ...) need a Handle per acquisition.  The paper notes
 // that "those structures can be reused for different lock acquisitions, and
 // between different locks" (Section 5); the kernel keeps 4 statically
-// preallocated nodes per CPU.  A lock *table* multiplies that need by the
-// number of stripes a thread may hold at once, so handles are pooled here in
-// per-execution-context free lists: a context checks a handle out when it
-// locks a stripe and returns it when it unlocks.  Callers therefore get a
-// plain lock(key)/unlock(key) surface with no handle management.
+// preallocated nodes per CPU.  The RAII guards of the tables take the cheap
+// form of that reuse: a guard's lifetime brackets its acquisition, so it
+// carries the Handle on the caller's stack, as locks::ScopedLock does.  The
+// pool serves only the *handle-free* surface -- Lock(key)/TryLock(key)/
+// Unlock(key), LockKeysInto/UnlockStripesN, the C API, and the combining and
+// resizable tables built on them -- where an acquisition and its release are
+// separate calls and the handle has to live somewhere in between.  A context
+// checks a handle out when it locks a stripe and returns it when it unlocks,
+// so those callers get a plain lock(key)/unlock(key) surface with no handle
+// management.  Guard-held stripes appear here only as a per-context counter
+// (NoteGuardAcquired/NoteGuardReleased), so HeldByThisContext() still
+// counts them.
 //
 // Storage: handles are carved out of per-socket slab arenas rather than
 // allocated one heap object at a time.  A context whose free list runs dry
@@ -26,9 +33,10 @@
 // merely deferred freeing.
 //
 // Unlike core::LockAdapter's strictly LIFO stacks, a lock table permits
-// out-of-order release across stripes (MultiGuard releases in reverse stripe
-// order, which need not be reverse acquisition order), so active handles are
-// tagged with their stripe and looked up newest-first on release.
+// out-of-order release across stripes (Unlock(key) in any order, and
+// UnlockStripesN releases in reverse stripe order, which need not be reverse
+// acquisition order), so active handles are tagged with their stripe and
+// looked up newest-first on release.
 #ifndef CNA_LOCKTABLE_HANDLE_POOL_H_
 #define CNA_LOCKTABLE_HANDLE_POOL_H_
 
@@ -61,6 +69,10 @@ template <typename P, typename L>
 class HandlePool {
  public:
   using Handle = typename L::Handle;
+
+  // Slots per pool.  Matches core::LockAdapter::kMaxContexts and comfortably
+  // covers the simulator's 192 CPUs.
+  static constexpr std::size_t kMaxContexts = 1024;
 
   // Handles per slab: one slab refill amortizes the arena lock over this
   // many checkouts, and matches the deepest plausible per-context demand
@@ -172,12 +184,45 @@ class HandlePool {
     return false;
   }
 
-  // Number of stripes this context currently holds (tests/diagnostics).
+  // Stripes held through an RAII guard, which carries its own handle and
+  // never touches the free or active lists.  They are counted in one relaxed
+  // word per slot that pairs the count with the raw id of the context it
+  // belongs to, updated by load + store without the slot guard: the slot's
+  // context is its only writer, so a locked instruction would buy nothing
+  // on the guard path.  A context finding another id in the word starts a
+  // fresh count, and never decrements or reads a count that is not its own.
+  // So a count left by an earlier context that mapped to this slot can
+  // neither leak into nor be corrupted by a later one.  The one inexact
+  // case: if two *live* contexts alias onto one slot and both hold guards
+  // of this pool at overlapping times, the one whose count was replaced
+  // undercounts until its guards are released.
+  void NoteGuardAcquired() noexcept {
+    std::atomic<std::uint64_t>& word = ForThisContext().guard_held;
+    const std::uint64_t tag = GuardOwnerTag();
+    const std::uint64_t w = word.load(std::memory_order_relaxed);
+    word.store((w & ~kGuardCountMask) == tag ? w + 1 : tag | 1,
+               std::memory_order_relaxed);
+  }
+  void NoteGuardReleased() noexcept {
+    std::atomic<std::uint64_t>& word = ForThisContext().guard_held;
+    const std::uint64_t w = word.load(std::memory_order_relaxed);
+    if ((w & ~kGuardCountMask) == GuardOwnerTag() &&
+        (w & kGuardCountMask) != 0) {
+      word.store(w - 1, std::memory_order_relaxed);
+    }
+  }
+
+  // Number of stripes this context currently holds, through either surface
+  // (tests/diagnostics).  Exact for checkouts; for guard-held stripes see
+  // the aliasing caveat on NoteGuardAcquired().
   std::size_t ActiveInThisContext() const {
     const Slot& slot = ForThisContext();
     const int self = P::CpuId();
     SlotGuard g(slot);
-    std::size_t n = 0;
+    const std::uint64_t w = slot.guard_held.load(std::memory_order_relaxed);
+    std::size_t n = (w & ~kGuardCountMask) == GuardOwnerTag()
+                        ? static_cast<std::size_t>(w & kGuardCountMask)
+                        : 0;
     for (const Entry& e : slot.active) {
       n += e.owner == self ? 1 : 0;
     }
@@ -289,7 +334,16 @@ class HandlePool {
     mutable std::atomic_flag busy = ATOMIC_FLAG_INIT;
     std::vector<Handle*> free;
     std::vector<Entry> active;
+    // Guard-held stripe count: owner id in the high half, count in the low.
+    std::atomic<std::uint64_t> guard_held{0};
   };
+
+  static constexpr std::uint64_t kGuardCountMask = 0xffffffffu;
+
+  static std::uint64_t GuardOwnerTag() noexcept {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(P::CpuId()))
+           << 32;
+  }
 
   // One arena per socket: owns the slabs carved up by that socket's
   // contexts.  Guarded by the same plain-TAS pattern as the slots (brief,
@@ -357,10 +411,6 @@ class HandlePool {
       slot.free.push_back(slab->HandleAt(i));
     }
   }
-
-  // Matches core::LockAdapter::kMaxContexts and comfortably covers the
-  // simulator's 192 CPUs.
-  static constexpr std::size_t kMaxContexts = 1024;
 
   Slot& ForThisContext() {
     return slots_[static_cast<std::size_t>(P::CpuId()) % kMaxContexts];

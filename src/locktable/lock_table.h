@@ -13,11 +13,16 @@
 //
 // Surface:
 //  * Lock(key)/TryLock(key)/Unlock(key) -- handle-free locking; per-context
-//    handle pools (handle_pool.h) check queue nodes in and out internally.
+//    handle pools (handle_pool.h) check queue nodes in and out internally,
+//    and hold-time telemetry pairs acquire with release through a
+//    HoldTracker.
 //  * Guard        -- RAII single-key critical section.
 //  * MultiGuard   -- acquires several keys' stripes in ascending stripe order
 //    (deduplicated), giving deadlock-free multi-key transactions; releases in
 //    descending order.
+//    Both guards carry their queue nodes and latency stamps themselves
+//    (stripe_guard.h), so the RAII fast path is hash + CNA's SWAP/CAS, with
+//    no pool or tracker bookkeeping.
 //  * Per-stripe occupancy/contention counters (table_stats.h), off by
 //    default so the fast path carries zero instrumentation.
 //
@@ -41,6 +46,7 @@
 #include "locks/lock_api.h"
 #include "locktable/handle_pool.h"
 #include "locktable/stripe_array.h"
+#include "locktable/stripe_guard.h"
 #include "locktable/table_latency.h"
 #include "locktable/table_stats.h"
 #include "parking/parking_lot.h"
@@ -168,10 +174,13 @@ class LockTable {
     return false;
   }
 
+  // Throws std::logic_error, before touching any state, if this context
+  // holds no handle-free acquisition of the stripe -- including a stripe it
+  // holds through a Guard, which only the Guard may release.
   void UnlockStripe(std::size_t s) {
+    Handle* h = pool_.Detach(s);
     RecordHold(s);
     LockdepReleased(s);
-    Handle* h = pool_.Detach(s);
     StripeLock(s).Unlock(*h);
     pool_.Recycle(h);
     UnparkAfterRelease(s);
@@ -207,14 +216,10 @@ class LockTable {
   // so small transactions -- the common 2-key case -- stay heap-free.
 
   // Writes the sorted distinct stripes of the key set into out[]; returns how
-  // many there are (<= count).
+  // many there are (<= count).  See StripeArray::DistinctStripesInto.
   std::size_t DistinctStripesInto(const std::uint64_t* keys, std::size_t count,
                                   std::size_t* out) const {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = StripeOf(keys[i]);
-    }
-    std::sort(out, out + count);
-    return static_cast<std::size_t>(std::unique(out, out + count) - out);
+    return array_.DistinctStripesInto(keys, count, out);
   }
 
   // Locks the key set's stripes (ascending); writes them into out[] and
@@ -278,64 +283,10 @@ class LockTable {
     }
   }
 
-  // --- RAII surfaces ---
+  // --- RAII surfaces (stripe_guard.h) ---
 
-  class Guard {
-   public:
-    Guard(LockTable& table, std::uint64_t key)
-        : table_(table), stripe_(table.StripeOf(key)) {
-      table_.LockStripe(stripe_);
-    }
-    ~Guard() { table_.UnlockStripe(stripe_); }
-
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-    std::size_t stripe() const { return stripe_; }
-
-   private:
-    LockTable& table_;
-    std::size_t stripe_;
-  };
-
-  class MultiGuard {
-   public:
-    // Transactions up to this many keys run heap-free (inline stripe set);
-    // larger key sets fall back to a vector.
-    static constexpr std::size_t kInlineKeys = kInlineTxnKeys;
-
-    MultiGuard(LockTable& table, std::initializer_list<std::uint64_t> keys)
-        : MultiGuard(table, keys.begin(), keys.size()) {}
-    MultiGuard(LockTable& table, const std::uint64_t* keys, std::size_t count)
-        : table_(table) {
-      if (count <= kInlineKeys) {
-        count_ = table_.LockKeysInto(keys, count, inline_);
-      } else {
-        overflow_.resize(count);
-        count_ = table_.LockKeysInto(keys, count, overflow_.data());
-      }
-    }
-    ~MultiGuard() { table_.UnlockStripesN(data(), count_); }
-
-    MultiGuard(const MultiGuard&) = delete;
-    MultiGuard& operator=(const MultiGuard&) = delete;
-
-    // The sorted distinct stripes this transaction holds.
-    std::vector<std::size_t> stripes() const {
-      return std::vector<std::size_t>(data(), data() + count_);
-    }
-    std::size_t size() const { return count_; }
-
-   private:
-    const std::size_t* data() const {
-      return overflow_.empty() ? inline_ : overflow_.data();
-    }
-
-    LockTable& table_;
-    std::size_t inline_[kInlineKeys];
-    std::vector<std::size_t> overflow_;
-    std::size_t count_ = 0;
-  };
+  using Guard = StripeGuard<LockTable>;
+  using MultiGuard = StripeMultiGuard<LockTable>;
 
   // --- Statistics ---
 
@@ -345,14 +296,20 @@ class LockTable {
     return stats_.stripe(s);
   }
 
-  // Whether this execution context holds stripe `s` (pre-validation for
-  // callers that must not act before confirming ownership, e.g. the
-  // combining layer's checked Unlock).
+  // Whether this execution context holds stripe `s` through the handle-free
+  // surface (pre-validation for callers that must not act before confirming
+  // ownership, e.g. the combining layer's checked Unlock).
   bool HoldsStripe(std::size_t s) const {
     return pool_.HoldsInThisContext(s);
   }
 
-  // Stripes this execution context currently holds (tests/diagnostics).
+  // Stripes this execution context currently holds, through either surface
+  // (tests/diagnostics).  Guards never touch the handle pool's free list, so
+  // PooledHandlesInThisContext() counts handle-free checkouts only.
+  // Guard-held stripes are counted per pool slot, and context ids map onto
+  // slots modulo HandlePool's slot count: if two live contexts share a slot
+  // and both hold guards at once, one of them may undercount its guards
+  // (never another context's) until they are released.
   std::size_t HeldByThisContext() const { return pool_.ActiveInThisContext(); }
   std::size_t PooledHandlesInThisContext() const {
     return pool_.PooledInThisContext();
@@ -370,6 +327,41 @@ class LockTable {
     }
     UnlockStripesN(stripes, n);
   }
+
+  template <typename, typename>
+  friend class StripeGuard;
+  template <typename, typename>
+  friend class StripeMultiGuard;
+
+  // --- Guard pipeline (see stripe_guard.h) ---
+
+  std::uint64_t GuardStart() const {
+    return lat_ != nullptr && telemetry::Enabled() ? telemetry::NowNs() : 0;
+  }
+
+  std::uint64_t GuardAcquire(ExclusiveAccess, std::size_t s, Handle& h,
+                             bool multi_key, std::uint64_t t_prev) {
+    LockWith(s, h, multi_key);
+    const std::uint64_t t1 = t_prev != 0 ? telemetry::NowNs() : 0;
+    LockdepAcquired(s, /*trylock=*/false, multi_key, t1 - t_prev);
+    pool_.NoteGuardAcquired();
+    return t1;
+  }
+
+  void GuardRelease(ExclusiveAccess, std::size_t s, Handle& h) {
+    pool_.NoteGuardReleased();
+    LockdepReleased(s);
+    StripeLock(s).Unlock(h);
+    UnparkAfterRelease(s);
+  }
+
+  void GuardRecord(ExclusiveAccess, std::uint64_t t0, std::uint64_t t1,
+                   std::uint64_t t2) {
+    lat_->wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
+    lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(), t2 - t1);
+  }
+
+  // --- Handle-free pipeline ---
 
   void AcquireStripe(std::size_t s, bool multi_key) {
     if (lat_ != nullptr && telemetry::Enabled()) {
@@ -477,7 +469,22 @@ class LockTable {
   }
 
   void AcquireStripeImpl(std::size_t s, bool multi_key) {
-    Handle& h = pool_.Checkout(s);
+    LockWith(s, pool_.Checkout(s), multi_key);
+  }
+
+  // Locks stripe s through handle h, whoever owns it: a pool checkout or a
+  // guard.  The plain case is the undisturbed one-SWAP acquisition, small
+  // enough to inline into both surfaces; parking and the stats probe sit out
+  // of line in LockWithPolicies.
+  void LockWith(std::size_t s, Handle& h, bool multi_key) {
+    if (!(kTableParks && blocking_) && !stats_.enabled()) {
+      StripeLock(s).Lock(h);
+      return;
+    }
+    LockWithPolicies(s, h, multi_key);
+  }
+
+  void LockWithPolicies(std::size_t s, Handle& h, bool multi_key) {
     L& lock = StripeLock(s);
     if constexpr (kTableParks) {
       if (blocking_) {
@@ -487,8 +494,7 @@ class LockTable {
     }
     if (stats_.enabled()) {
       // Stats mode probes with a try-lock first so contention is observable
-      // (sampled when stats_probe_period > 1); the stats-off path below is
-      // the undisturbed one-SWAP acquisition.
+      // (sampled when stats_probe_period > 1).
       if constexpr (locks::TryLockable<L>) {
         if (probe_mask_ == 0 || (P::Random() & probe_mask_) == 0) {
           if (lock.TryLock(h)) {
@@ -501,6 +507,8 @@ class LockTable {
         }
       }
     }
+    // Stats on, but this acquisition is not sampled or the lock has no
+    // try-lock path to probe with.
     lock.Lock(h);
     stats_.OnAcquire(s, /*was_contended=*/false, multi_key);
   }

@@ -20,14 +20,15 @@
 //  * Per-stripe read/write/writer-wait counters (table_stats.h), off by
 //    default so the fast path carries zero instrumentation.
 //
-// Handles are pooled per execution context exactly as in the mutex table
-// (handle_pool.h), one pool per mode: a context may hold a stripe in only
-// one mode at a time, but the two pools let Unlock(key) discover the mode
-// and keep misuse (unlock of an unheld stripe) a checked error.
+// The handle-free surface pools handles per execution context exactly as in
+// the mutex table (handle_pool.h), one pool per mode: a context may hold a
+// stripe in only one mode at a time, but the two pools let Unlock(key)
+// discover the mode and keep misuse (unlock of an unheld stripe) a checked
+// error.  The guards carry their handles and latency stamps themselves
+// (stripe_guard.h) and touch the pools only through a held-stripe counter.
 #ifndef CNA_LOCKTABLE_RW_LOCK_TABLE_H_
 #define CNA_LOCKTABLE_RW_LOCK_TABLE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -40,6 +41,7 @@
 #include "locktable/handle_pool.h"
 #include "locktable/lock_table.h"  // LockTableOptions
 #include "locktable/stripe_array.h"
+#include "locktable/stripe_guard.h"
 #include "locktable/table_latency.h"
 #include "locktable/table_stats.h"
 #include "parking/parking_lot.h"
@@ -112,40 +114,16 @@ class RwLockTable {
   void LockSharedStripe(std::size_t s) {
     if (lat_ != nullptr && telemetry::Enabled()) {
       const std::uint64_t t0 = telemetry::NowNs();
-      LockSharedStripeImpl(s);
+      LockSharedWith(s, shared_pool_.Checkout(s));
       const std::uint64_t wait = telemetry::NowNs() - t0;
       lat_->read_wait.RecordAt(P::CurrentSocket(), P::CpuId(), wait);
       LockdepAcquired(s, /*trylock=*/false, /*shared=*/true,
                       /*multi_key=*/false, wait);
       return;
     }
-    LockSharedStripeImpl(s);
+    LockSharedWith(s, shared_pool_.Checkout(s));
     LockdepAcquired(s, /*trylock=*/false, /*shared=*/true, /*multi_key=*/false,
                     0);
-  }
-
-  void LockSharedStripeImpl(std::size_t s) {
-    Handle& h = shared_pool_.Checkout(s);
-    L& lock = StripeLock(s);
-    if constexpr (kTableParks) {
-      if (blocking_) {
-        AcquireSharedParked(lock, h, s);
-        return;
-      }
-    }
-    if (stats_.enabled()) {
-      if constexpr (locks::SharedTryLockable<L>) {
-        if (lock.TryLockShared(h)) {
-          stats_.OnReadAcquire(s, /*was_contended=*/false);
-          return;
-        }
-        lock.LockShared(h);
-        stats_.OnReadAcquire(s, /*was_contended=*/true);
-        return;
-      }
-    }
-    lock.LockShared(h);
-    stats_.OnReadAcquire(s, /*was_contended=*/false);
   }
 
   bool TryLockSharedStripe(std::size_t s) {
@@ -163,19 +141,15 @@ class RwLockTable {
     return false;
   }
 
+  // Detach() throws before any state changes if this context holds no
+  // handle-free shared acquisition of the stripe (a ReadGuard's stripe
+  // included: only the guard may release it).
   void UnlockSharedStripe(std::size_t s) {
-    LockdepReleased(s);
     Handle* h = shared_pool_.Detach(s);
+    LockdepReleased(s);
     StripeLock(s).UnlockShared(*h);
     shared_pool_.Recycle(h);
-    if constexpr (kTableParks) {
-      if (blocking_) {
-        // Only a writer can be blocked by a reader, and only one can win the
-        // now-free stripe -- wake one, it revalidates with TryLock.
-        parking::ParkingLot<P>::Global().UnparkOne(&StripeLock(s),
-                                                   P::CurrentSocket());
-      }
-    }
+    UnparkAfterSharedRelease(s);
   }
 
   // --- Writer side ---
@@ -211,6 +185,7 @@ class RwLockTable {
   }
 
   void UnlockExclusiveStripe(std::size_t s) {
+    Handle* h = excl_pool_.Detach(s);
     LockdepReleased(s);
     if (lat_ != nullptr && telemetry::Enabled()) {
       const std::uint64_t t0 = lat_->tracker.Pop(P::CpuId(), s);
@@ -219,16 +194,9 @@ class RwLockTable {
                                   telemetry::NowNs() - t0);
       }
     }
-    Handle* h = excl_pool_.Detach(s);
     StripeLock(s).Unlock(*h);
     excl_pool_.Recycle(h);
-    if constexpr (kTableParks) {
-      if (blocking_) {
-        // A whole reader convoy may have parked behind this writer; all of
-        // them can enter now, so wake everything and let them revalidate.
-        parking::ParkingLot<P>::Global().UnparkAll(&StripeLock(s));
-      }
-    }
+    UnparkAfterExclusiveRelease(s);
   }
 
   // pthread_rwlock_unlock-style release: figures out which mode this context
@@ -244,13 +212,11 @@ class RwLockTable {
 
   // --- Multi-key exclusive transactions (MultiGuard, C surface) ---
 
+  // Writes the sorted distinct stripes of the key set into out[]; returns how
+  // many there are (<= count).  See StripeArray::DistinctStripesInto.
   std::size_t DistinctStripesInto(const std::uint64_t* keys, std::size_t count,
                                   std::size_t* out) const {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = StripeOf(keys[i]);
-    }
-    std::sort(out, out + count);
-    return static_cast<std::size_t>(std::unique(out, out + count) - out);
+    return array_.DistinctStripesInto(keys, count, out);
   }
 
   // Exclusively locks the key set's distinct stripes in ascending order;
@@ -290,82 +256,13 @@ class RwLockTable {
     }
   }
 
-  // --- RAII surfaces ---
+  // --- RAII surfaces (stripe_guard.h) ---
 
-  class ReadGuard {
-   public:
-    ReadGuard(RwLockTable& table, std::uint64_t key)
-        : table_(table), stripe_(table.StripeOf(key)) {
-      table_.LockSharedStripe(stripe_);
-    }
-    ~ReadGuard() { table_.UnlockSharedStripe(stripe_); }
-
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-
-    std::size_t stripe() const { return stripe_; }
-
-   private:
-    RwLockTable& table_;
-    std::size_t stripe_;
-  };
-
-  class WriteGuard {
-   public:
-    WriteGuard(RwLockTable& table, std::uint64_t key)
-        : table_(table), stripe_(table.StripeOf(key)) {
-      table_.LockExclusiveStripe(stripe_);
-    }
-    ~WriteGuard() { table_.UnlockExclusiveStripe(stripe_); }
-
-    WriteGuard(const WriteGuard&) = delete;
-    WriteGuard& operator=(const WriteGuard&) = delete;
-
-    std::size_t stripe() const { return stripe_; }
-
-   private:
-    RwLockTable& table_;
-    std::size_t stripe_;
-  };
-
+  using ReadGuard = StripeGuard<RwLockTable, SharedAccess>;
+  using WriteGuard = StripeGuard<RwLockTable, ExclusiveAccess>;
   // Multi-key exclusive transaction: sorted distinct stripes, heap-free up to
   // kInlineTxnKeys keys.
-  class MultiGuard {
-   public:
-    static constexpr std::size_t kInlineKeys = kInlineTxnKeys;
-
-    MultiGuard(RwLockTable& table, std::initializer_list<std::uint64_t> keys)
-        : MultiGuard(table, keys.begin(), keys.size()) {}
-    MultiGuard(RwLockTable& table, const std::uint64_t* keys,
-               std::size_t count)
-        : table_(table) {
-      if (count <= kInlineKeys) {
-        count_ = table_.LockKeysInto(keys, count, inline_);
-      } else {
-        overflow_.resize(count);
-        count_ = table_.LockKeysInto(keys, count, overflow_.data());
-      }
-    }
-    ~MultiGuard() { table_.UnlockStripesN(data(), count_); }
-
-    MultiGuard(const MultiGuard&) = delete;
-    MultiGuard& operator=(const MultiGuard&) = delete;
-
-    std::vector<std::size_t> stripes() const {
-      return std::vector<std::size_t>(data(), data() + count_);
-    }
-    std::size_t size() const { return count_; }
-
-   private:
-    const std::size_t* data() const {
-      return overflow_.empty() ? inline_ : overflow_.data();
-    }
-
-    RwLockTable& table_;
-    std::size_t inline_[kInlineKeys];
-    std::vector<std::size_t> overflow_;
-    std::size_t count_ = 0;
-  };
+  using MultiGuard = StripeMultiGuard<RwLockTable, ExclusiveAccess>;
 
   // --- Statistics / diagnostics ---
 
@@ -375,6 +272,10 @@ class RwLockTable {
     return stats_.stripe(s);
   }
 
+  // Stripes this context holds in each mode, through either surface
+  // (tests/diagnostics).  Same caveat as LockTable::HeldByThisContext(): two
+  // live contexts sharing a pool slot and holding guards at once may
+  // undercount their own guards, never count another context's.
   std::size_t SharedHeldByThisContext() const {
     return shared_pool_.ActiveInThisContext();
   }
@@ -383,6 +284,86 @@ class RwLockTable {
   }
 
  private:
+  template <typename, typename>
+  friend class StripeGuard;
+  template <typename, typename>
+  friend class StripeMultiGuard;
+
+  // --- Guard pipeline (see stripe_guard.h) ---
+
+  std::uint64_t GuardStart() const {
+    return lat_ != nullptr && telemetry::Enabled() ? telemetry::NowNs() : 0;
+  }
+
+  std::uint64_t GuardAcquire(SharedAccess, std::size_t s, Handle& h,
+                             bool /*multi_key*/, std::uint64_t t_prev) {
+    LockSharedWith(s, h);
+    const std::uint64_t t1 = t_prev != 0 ? telemetry::NowNs() : 0;
+    LockdepAcquired(s, /*trylock=*/false, /*shared=*/true, /*multi_key=*/false,
+                    t1 - t_prev);
+    shared_pool_.NoteGuardAcquired();
+    return t1;
+  }
+
+  void GuardRelease(SharedAccess, std::size_t s, Handle& h) {
+    shared_pool_.NoteGuardReleased();
+    LockdepReleased(s);
+    StripeLock(s).UnlockShared(h);
+    UnparkAfterSharedRelease(s);
+  }
+
+  // Readers publish their wait only; read hold time is not collected.
+  void GuardRecord(SharedAccess, std::uint64_t t0, std::uint64_t t1,
+                   std::uint64_t /*t2*/) {
+    lat_->read_wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
+  }
+
+  std::uint64_t GuardAcquire(ExclusiveAccess, std::size_t s, Handle& h,
+                             bool multi_key, std::uint64_t t_prev) {
+    LockExclusiveWith(s, h);
+    const std::uint64_t t1 = t_prev != 0 ? telemetry::NowNs() : 0;
+    LockdepAcquired(s, /*trylock=*/false, /*shared=*/false, multi_key,
+                    t1 - t_prev);
+    excl_pool_.NoteGuardAcquired();
+    return t1;
+  }
+
+  void GuardRelease(ExclusiveAccess, std::size_t s, Handle& h) {
+    excl_pool_.NoteGuardReleased();
+    LockdepReleased(s);
+    StripeLock(s).Unlock(h);
+    UnparkAfterExclusiveRelease(s);
+  }
+
+  void GuardRecord(ExclusiveAccess, std::uint64_t t0, std::uint64_t t1,
+                   std::uint64_t t2) {
+    lat_->write_wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
+    lat_->write_hold.RecordAt(P::CurrentSocket(), P::CpuId(), t2 - t1);
+  }
+
+  // Only a writer can be blocked by a reader, and only one can win the
+  // now-free stripe -- wake one, it revalidates with TryLock.
+  void UnparkAfterSharedRelease(std::size_t s) {
+    if constexpr (kTableParks) {
+      if (blocking_) {
+        parking::ParkingLot<P>::Global().UnparkOne(&StripeLock(s),
+                                                   P::CurrentSocket());
+      }
+    }
+  }
+
+  // A whole reader convoy may have parked behind this writer; all of them
+  // can enter now, so wake everything and let them revalidate.
+  void UnparkAfterExclusiveRelease(std::size_t s) {
+    if constexpr (kTableParks) {
+      if (blocking_) {
+        parking::ParkingLot<P>::Global().UnparkAll(&StripeLock(s));
+      }
+    }
+  }
+
+  // --- Handle-free pipeline ---
+
   void UnlockDistinct(const std::size_t* stripes, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       if (!excl_pool_.HoldsInThisContext(stripes[i])) {
@@ -397,7 +378,7 @@ class RwLockTable {
   void AcquireExclusiveStripe(std::size_t s, bool multi_key = false) {
     if (lat_ != nullptr && telemetry::Enabled()) {
       const std::uint64_t t0 = telemetry::NowNs();
-      AcquireExclusiveStripeImpl(s);
+      LockExclusiveWith(s, excl_pool_.Checkout(s));
       const std::uint64_t t1 = telemetry::NowNs();
       lat_->write_wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
       lat_->tracker.Push(P::CpuId(), s, t1);
@@ -405,12 +386,58 @@ class RwLockTable {
                       t1 - t0);
       return;
     }
-    AcquireExclusiveStripeImpl(s);
+    LockExclusiveWith(s, excl_pool_.Checkout(s));
     LockdepAcquired(s, /*trylock=*/false, /*shared=*/false, multi_key, 0);
   }
 
-  void AcquireExclusiveStripeImpl(std::size_t s) {
-    Handle& h = excl_pool_.Checkout(s);
+  // Acquisition bodies: lock stripe s in one mode through handle h, whoever
+  // owns it -- a pool checkout or a guard.  As in LockTable::LockWith, the
+  // plain acquisition stays small enough to inline into both surfaces, and
+  // parking and the stats probe sit out of line.
+  bool PlainAcquire() const {
+    return !(kTableParks && blocking_) && !stats_.enabled();
+  }
+
+  void LockSharedWith(std::size_t s, Handle& h) {
+    if (PlainAcquire()) {
+      StripeLock(s).LockShared(h);
+      return;
+    }
+    LockSharedWithPolicies(s, h);
+  }
+
+  void LockExclusiveWith(std::size_t s, Handle& h) {
+    if (PlainAcquire()) {
+      StripeLock(s).Lock(h);
+      return;
+    }
+    LockExclusiveWithPolicies(s, h);
+  }
+
+  void LockSharedWithPolicies(std::size_t s, Handle& h) {
+    L& lock = StripeLock(s);
+    if constexpr (kTableParks) {
+      if (blocking_) {
+        AcquireSharedParked(lock, h, s);
+        return;
+      }
+    }
+    if (stats_.enabled()) {
+      if constexpr (locks::SharedTryLockable<L>) {
+        if (lock.TryLockShared(h)) {
+          stats_.OnReadAcquire(s, /*was_contended=*/false);
+          return;
+        }
+        lock.LockShared(h);
+        stats_.OnReadAcquire(s, /*was_contended=*/true);
+        return;
+      }
+    }
+    lock.LockShared(h);
+    stats_.OnReadAcquire(s, /*was_contended=*/false);
+  }
+
+  void LockExclusiveWithPolicies(std::size_t s, Handle& h) {
     L& lock = StripeLock(s);
     if constexpr (kTableParks) {
       if (blocking_) {
@@ -443,7 +470,7 @@ class RwLockTable {
       stats_.OnWriteAcquire(s, /*waited=*/false);
       return;
     }
-    for (int i = 0; i < parking::kBlockingSpinBudget; ++i) {
+    for (std::uint32_t i = 0; i < parking::kBlockingSpinBudget; ++i) {
       P::Pause();
       if (lock.TryLock(h)) {
         stats_.OnWriteAcquire(s, /*waited=*/true);
@@ -471,7 +498,7 @@ class RwLockTable {
       stats_.OnReadAcquire(s, /*was_contended=*/false);
       return;
     }
-    for (int i = 0; i < parking::kBlockingSpinBudget; ++i) {
+    for (std::uint32_t i = 0; i < parking::kBlockingSpinBudget; ++i) {
       P::Pause();
       if (lock.TryLockShared(h)) {
         stats_.OnReadAcquire(s, /*was_contended=*/true);

@@ -7,8 +7,8 @@
 // lock words) or padded to a cache line each, plus the SplitMix64 key->stripe
 // hash.  This class is that core, extracted so the geometry logic exists
 // once: construction, aligned placement, destruction, the kMaxStripes bound,
-// and the hash all live here, and the tables add their locking surfaces on
-// top.
+// the hash, and the sorted stripe set of a multi-key transaction all live
+// here, and the tables add their locking surfaces on top.
 #ifndef CNA_LOCKTABLE_STRIPE_ARRAY_H_
 #define CNA_LOCKTABLE_STRIPE_ARRAY_H_
 
@@ -74,6 +74,25 @@ class StripeArray {
   // power-of-two resizing a per-stripe split/merge (resizable_lock_table.h).
   std::size_t StripeOf(std::uint64_t key) const {
     return static_cast<std::size_t>(SplitMix64::Mix(key)) & mask_;
+  }
+
+  // Writes the sorted distinct stripes of keys[0..count) into out[]
+  // (capacity >= count) and returns how many there are: the ascending order
+  // every multi-key transaction acquires in, which makes the lock order
+  // total.
+  std::size_t DistinctStripesInto(const std::uint64_t* keys, std::size_t count,
+                                  std::size_t* out) const {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = StripeOf(keys[i]);
+    }
+    // GCC 12 inlines std::sort into callers whose out[] is a small inline
+    // array and then flags the >16-element branch of its final insertion
+    // sort, which such callers never reach (count <= the array's size).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Warray-bounds"
+    std::sort(out, out + count);
+#pragma GCC diagnostic pop
+    return static_cast<std::size_t>(std::unique(out, out + count) - out);
   }
 
   // Total bytes of shared lock state backing the namespace -- the quantity

@@ -2,10 +2,11 @@
 //
 // Each struct bundles the telemetry histograms a table flavor records into
 // (registered by name in the global registry, src/telemetry/metrics.h) plus
-// a HoldTracker for acquire->release pairing.  A table allocates its sink
-// only when its options request latency collection, so the default table
-// carries no timing state and no timing code on the lock path; with the sink
-// allocated, recording is still gated on the process-global
+// a HoldTracker for acquire->release pairing on the handle-free surface (the
+// RAII guards carry their own stamps, stripe_guard.h).  A table allocates its
+// sink only when its options request latency collection, so the default
+// table carries no timing state and no timing code on the lock path; with the
+// sink allocated, recording is still gated on the process-global
 // telemetry::Enabled() flag.
 #ifndef CNA_LOCKTABLE_TABLE_LATENCY_H_
 #define CNA_LOCKTABLE_TABLE_LATENCY_H_

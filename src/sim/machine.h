@@ -2,8 +2,9 @@
 //
 // The paper's evaluation ran on 2-socket (72 CPU) and 4-socket (144 CPU)
 // Xeons.  This environment has one CPU and one NUMA node, so the evaluation
-// hardware is substituted by this simulator (see DESIGN.md §1).  The model is
-// deliberately minimal but captures precisely the phenomenon CNA exploits:
+// hardware is substituted by this simulator, which reproduces the figures'
+// shapes deterministically on any host.  The model is deliberately minimal
+// but captures precisely the phenomenon CNA exploits:
 //
 //  * Memory is modelled at cache-line granularity.  A directory tracks, per
 //    line, the set of sockets that currently cache it.
@@ -233,7 +234,7 @@ class Machine {
 
   // Charges traffic on `count` lines of a synthetic shared region, starting
   // at line `first_line`.  Used by application substrates to model the data
-  // their critical sections touch (see DESIGN.md §4).
+  // their critical sections touch (the stand-ins in src/apps/).
   void AccessSharedRegion(std::uint32_t region, std::uint64_t first_line,
                           std::uint32_t count, bool write);
 

@@ -17,6 +17,7 @@
 #include "platform/real_platform.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
+#include "telemetry/metrics.h"
 
 namespace cna {
 namespace {
@@ -196,6 +197,75 @@ TEST(LockTable, MultiGuardBeyondInlineCapacity) {
   EXPECT_EQ(table.HeldByThisContext(), 0u);
 }
 
+// Guards carry their queue nodes on the stack: a table used only through
+// Guard/MultiGuard never checks a handle out of its pool.
+TEST(LockTable, GuardsNeverTouchTheHandlePool) {
+  RealTable table({.stripes = 64});
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    {
+      RealTable::Guard g(table, k);
+      EXPECT_EQ(table.HeldByThisContext(), 1u);
+    }
+    RealTable::MultiGuard mg(table, {k, k + 1, k + 2});
+    EXPECT_EQ(table.HeldByThisContext(), mg.size());
+  }
+  std::vector<std::uint64_t> keys;  // spills past the inline key capacity
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    keys.push_back(k * 131);
+  }
+  {
+    RealTable::MultiGuard spilled(table, keys.data(), keys.size());
+    EXPECT_EQ(table.HeldByThisContext(), spilled.size());
+  }
+  EXPECT_EQ(table.HeldByThisContext(), 0u);
+  EXPECT_EQ(table.PooledHandlesInThisContext(), 0u);
+}
+
+// A Guard-held stripe belongs to the guard: the handle-free Unlock cannot
+// release it (the pool holds no handle for it) and must not disturb it.
+TEST(LockTable, HandleFreeUnlockOfGuardHeldStripeThrows) {
+  RealTable table({.stripes = 16, .collect_stats = true});
+  {
+    RealTable::Guard g(table, 3);
+    EXPECT_THROW(table.Unlock(3), std::logic_error);
+    const std::uint64_t keys[1] = {3};
+    EXPECT_THROW(table.UnlockKeys(keys, 1), std::logic_error);
+    EXPECT_EQ(table.HeldByThisContext(), 1u);
+    EXPECT_FALSE(table.TryLock(3));  // still held, by the guard
+  }
+  EXPECT_EQ(table.HeldByThisContext(), 0u);
+  ASSERT_TRUE(table.TryLock(3));  // the guard released it cleanly
+  table.Unlock(3);
+}
+
+// Guards publish exactly one wait and one hold sample per stripe acquired,
+// at release: the wait sample is not visible while the guard is held.
+TEST(LockTable, GuardLatencySamplesMatchAcquisitions) {
+  telemetry::SetEnabled(true);
+  RealTable table({.stripes = 1024,
+                   .collect_latency = true,
+                   .metrics_name = "locktable_test.guards"});
+  auto& registry = telemetry::Registry::Global();
+  auto& wait = registry.GetHistogram("locktable_test.guards.wait_ns");
+  auto& hold = registry.GetHistogram("locktable_test.guards.hold_ns");
+  const std::uint64_t wait0 = wait.Snapshot().count;
+  const std::uint64_t hold0 = hold.Snapshot().count;
+  constexpr std::uint64_t kGuards = 50;
+  std::uint64_t acquisitions = 0;
+  for (std::uint64_t k = 0; k < kGuards; ++k) {
+    RealTable::Guard g(table, k);
+    ++acquisitions;
+  }
+  {
+    RealTable::MultiGuard g(table, {1, 2, 3});
+    acquisitions += g.size();
+    EXPECT_EQ(wait.Snapshot().count - wait0, kGuards);  // not yet published
+  }
+  telemetry::SetEnabled(false);
+  EXPECT_EQ(wait.Snapshot().count - wait0, acquisitions);
+  EXPECT_EQ(hold.Snapshot().count - hold0, acquisitions);
+}
+
 TEST(LockTable, RejectsAbsurdStripeCounts) {
   EXPECT_THROW(RealTable({.stripes = RealTable::kMaxStripes + 1}),
                std::length_error);
@@ -332,6 +402,76 @@ TEST(LockTableSim, MultiGuardTransactionsNoDeadlockNoLostUpdates) {
   }
   m.Run();  // throws std::logic_error on deadlock
   EXPECT_EQ(kv.TotalValue(), kInitial * o.key_range);  // conservation
+}
+
+// Schedule exploration with every queue node on a fiber stack: Guard and
+// MultiGuard (2- and 3-key, colliding stripes) interleave under several
+// seeds.  A per-stripe occupancy count catches a second holder directly;
+// unprotected read-modify-writes catch lost updates; Run() throws on
+// deadlock.
+TEST(LockTableSim, GuardsOnFiberStacksExcludeAcrossSeeds) {
+  constexpr std::uint64_t kKeys = 16;
+  constexpr std::uint64_t kInitial = 100;
+  constexpr int kThreads = 8;
+  constexpr int kIters = 120;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    sim::MachineConfig cfg = TwoSocketSmall();
+    cfg.seed = seed;
+    sim::Machine m(cfg);
+    SimTable table({.stripes = 4});
+    std::vector<int> holders(table.stripes(), 0);
+    std::vector<std::uint64_t> counters(kKeys, 0);
+    std::vector<std::uint64_t> balances(kKeys, kInitial);
+    std::uint64_t increments = 0;
+    bool overlap = false;
+    auto enter = [&](std::size_t s) { overlap |= ++holders[s] != 1; };
+    auto leave = [&](std::size_t s) { --holders[s]; };
+    for (int t = 0; t < kThreads; ++t) {
+      m.Spawn([&, t] {
+        XorShift64 rng =
+            XorShift64::FromSeed(seed * 1000 + static_cast<std::uint64_t>(t));
+        for (int i = 0; i < kIters; ++i) {
+          const std::uint64_t a = rng.NextBelow(kKeys);
+          const std::uint64_t b = rng.NextBelow(kKeys);
+          const std::uint64_t c = rng.NextBelow(kKeys);
+          if (rng.Next() & 1) {
+            SimTable::Guard g(table, a);
+            enter(g.stripe());
+            const std::uint64_t v = counters[a];
+            sim::Machine::Active()->AdvanceLocalWork(40);
+            counters[a] = v + 1;
+            ++increments;
+            leave(g.stripe());
+          } else {
+            const std::uint64_t keys[3] = {a, b, c};
+            SimTable::MultiGuard g(table, keys, 2 + rng.NextBelow(2));
+            for (std::size_t s : g.stripes()) {
+              enter(s);
+            }
+            const std::uint64_t from = balances[a];
+            sim::Machine::Active()->AdvanceLocalWork(40);
+            if (a != b && from > 0) {
+              balances[a] = from - 1;
+              balances[b] += 1;
+            }
+            for (std::size_t s : g.stripes()) {
+              leave(s);
+            }
+          }
+        }
+      });
+    }
+    m.Run();  // throws std::logic_error on deadlock
+    EXPECT_FALSE(overlap) << "seed " << seed;
+    std::uint64_t counted = 0;
+    std::uint64_t total = 0;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      counted += counters[k];
+      total += balances[k];
+    }
+    EXPECT_EQ(counted, increments) << "seed " << seed;
+    EXPECT_EQ(total, kInitial * kKeys) << "seed " << seed;
+  }
 }
 
 TEST(LockTableSim, TransactionsAcrossManyStripesWithMcs) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "locks/cna_rwlock.h"
 #include "locktable/rw_lock_table.h"
 #include "platform/real_platform.h"
+#include "telemetry/metrics.h"
 
 namespace cna {
 namespace {
@@ -117,6 +119,60 @@ TEST(RwLockTable, MultiGuardIsExclusiveAscendingDeduplicated) {
   for (std::size_t i = 1; i < stripes.size(); ++i) {
     EXPECT_LT(stripes[i - 1], stripes[i]);
   }
+}
+
+// Guard-held stripes belong to their guards: the handle-free release paths
+// throw without disturbing them.
+TEST(RwLockTable, HandleFreeUnlockOfGuardHeldStripeThrows) {
+  Table table({.stripes = 16});
+  {
+    Table::ReadGuard r(table, 5);
+    EXPECT_THROW(table.Unlock(5), std::logic_error);
+    EXPECT_THROW(table.UnlockShared(5), std::logic_error);
+    EXPECT_EQ(table.SharedHeldByThisContext(), 1u);
+  }
+  {
+    Table::WriteGuard w(table, 5);
+    EXPECT_THROW(table.Unlock(5), std::logic_error);
+    EXPECT_THROW(table.UnlockExclusive(5), std::logic_error);
+    EXPECT_FALSE(table.TryLockShared(5));  // still held, by the guard
+  }
+  EXPECT_EQ(table.SharedHeldByThisContext(), 0u);
+  EXPECT_EQ(table.ExclusiveHeldByThisContext(), 0u);
+  ASSERT_TRUE(table.TryLockExclusive(5));  // both guards released cleanly
+  table.UnlockExclusive(5);
+}
+
+// One sample per guard-held stripe, published at release: readers record
+// their wait, writers and transactions their wait and hold.
+TEST(RwLockTable, GuardLatencySamplesMatchAcquisitions) {
+  telemetry::SetEnabled(true);
+  Table table({.stripes = 1024,
+               .collect_latency = true,
+               .metrics_name = "rw_locktable_test.guards"});
+  auto& registry = telemetry::Registry::Global();
+  auto count = [&](const char* suffix) {
+    return registry
+        .GetHistogram(std::string("rw_locktable_test.guards.") + suffix)
+        .Snapshot()
+        .count;
+  };
+  const std::uint64_t read0 = count("read_wait_ns");
+  const std::uint64_t wait0 = count("write_wait_ns");
+  const std::uint64_t hold0 = count("write_hold_ns");
+  constexpr std::uint64_t kOps = 40;
+  std::uint64_t writes = 0;
+  for (std::uint64_t k = 0; k < kOps; ++k) {
+    { Table::ReadGuard r(table, k); }
+    { Table::WriteGuard w(table, k); }
+    ++writes;
+    Table::MultiGuard g(table, {k, k + 1});
+    writes += g.size();
+  }
+  telemetry::SetEnabled(false);
+  EXPECT_EQ(count("read_wait_ns") - read0, kOps);
+  EXPECT_EQ(count("write_wait_ns") - wait0, writes);
+  EXPECT_EQ(count("write_hold_ns") - hold0, writes);
 }
 
 TEST(RwLockTable, CheckedUnlockKeysIsAllOrNothing) {
