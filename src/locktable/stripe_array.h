@@ -45,9 +45,10 @@ class StripeArray {
                     ? RoundUp(sizeof(L), kCacheLineSize)
                     : sizeof(L)),
         padding_(padding) {
-    const std::size_t align = padding == StripePadding::kCacheLine
-                                  ? std::max(alignof(L), kCacheLineSize)
-                                  : alignof(L);
+    // The base sits on a cache-line boundary in both layouts, so which
+    // stripes share a line depends only on their indices, never on where the
+    // allocator placed the storage (simulated runs repeat exactly).
+    const std::size_t align = std::max(alignof(L), kCacheLineSize);
     storage_.resize(stripes_ * stride_ + align);
     const auto raw = reinterpret_cast<std::uintptr_t>(storage_.data());
     base_ = reinterpret_cast<std::byte*>(RoundUp(raw, align));
