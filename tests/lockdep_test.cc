@@ -1,5 +1,5 @@
 // Lockdep-lite tests: class interning, the seeded AB/BA inversion with its
-// two-chain witness, the MultiGuard ascending-stripe invariant, the
+// two-chain witness (through LockTable and through RwLockTable guards), the MultiGuard ascending-stripe invariant, the
 // park-while-holding detector, folded-stack attribution, the sim machine's
 // schedule-exploration gate, and the C surface.
 //
@@ -25,7 +25,9 @@
 
 #include "core/pthread_api.h"
 #include "locks/cna.h"
+#include "locks/cna_rwlock.h"
 #include "locktable/lock_table.h"
+#include "locktable/rw_lock_table.h"
 #include "parking/parking_lot.h"
 #include "platform/real_platform.h"
 #include "qspin/qspinlock.h"
@@ -43,6 +45,8 @@ using RealCna = locks::CnaLock<RealPlatform>;
 using SimCna = locks::CnaLock<SimPlatform>;
 using RealTable = locktable::LockTable<RealPlatform, RealCna>;
 using SimTable = locktable::LockTable<SimPlatform, SimCna>;
+using RealRwTable = locktable::RwLockTable<
+    RealPlatform, locks::CnaRwLock<RealPlatform, locks::CnaRwCompactConfig>>;
 
 // ---------------------------------------------------------------------------
 // Zero lock-word growth: lockdep keeps ALL of its state in side tables, so
@@ -294,6 +298,60 @@ TEST_F(LockdepTest, FoldedStacksAccumulateHoldTime) {
                 "foldouter/stripe@LockTable::LockStripe;" + frame),
             std::string::npos)
       << lockdep::FoldedStacks();
+}
+
+// The reader-writer table reports through lockdep too: each reader and
+// writer acquisition folds under its RwLockTable::* site, and an AB/BA
+// inversion taken through rw guards yields exactly one witness.
+TEST_F(LockdepTest, RwLockTableSitesAndGuardInversion) {
+  RealRwTable a({.stripes = 8, .metrics_name = "rwA"});
+  RealRwTable b({.stripes = 8, .metrics_name = "rwB"});
+  auto hold = [] { std::this_thread::sleep_for(std::chrono::microseconds(50)); };
+
+  a.LockShared(1);
+  hold();
+  a.UnlockShared(1);
+  a.LockExclusive(2);
+  hold();
+  a.UnlockExclusive(2);
+  ASSERT_TRUE(a.TryLockShared(3));
+  hold();
+  a.UnlockShared(3);
+  ASSERT_TRUE(a.TryLockExclusive(4));
+  hold();
+  a.UnlockExclusive(4);
+  {
+    RealRwTable::MultiGuard g(a, {5, 6});
+    hold();
+  }
+  const std::string folded = lockdep::FoldedStacks();
+  for (const char* site :
+       {"RwLockTable::LockSharedStripe", "RwLockTable::LockExclusiveStripe",
+        "RwLockTable::TryLockSharedStripe",
+        "RwLockTable::TryLockExclusiveStripe", "RwLockTable::LockKeys"}) {
+    EXPECT_NE(folded.find(std::string("rwA/stripe@") + site), std::string::npos)
+        << site << "\n" << folded;
+  }
+  EXPECT_EQ(lockdep::InversionCount(), 0u);
+
+  // A -> B through a write guard then a read guard ...
+  {
+    RealRwTable::WriteGuard ga(a, 1);
+    RealRwTable::ReadGuard gb(b, 2);
+  }
+  EXPECT_EQ(lockdep::InversionCount(), 0u);
+  // ... then B -> A closes the cycle, reported once however often repeated.
+  for (int i = 0; i < 3; ++i) {
+    RealRwTable::WriteGuard gb(b, 2);
+    RealRwTable::ReadGuard ga(a, 1);
+  }
+  EXPECT_EQ(lockdep::InversionCount(), 1u);
+  const std::string report = lockdep::ReportText();
+  EXPECT_NE(report.find("rwA/stripe"), std::string::npos) << report;
+  EXPECT_NE(report.find("rwB/stripe"), std::string::npos) << report;
+  EXPECT_NE(report.find("chain A"), std::string::npos) << report;
+  EXPECT_NE(report.find("chain B"), std::string::npos) << report;
+  EXPECT_EQ(lockdep::HeldDepth(RealPlatform::CpuId()), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Schedule-exploration tests for the parking subsystem (parking/parking_lot.h
-// + the sim platform's Park/Unpark primitives).
+// + the sim platform's Park/Unpark primitives, and the blocking lock tables
+// built on them).
 //
 // These run on the deterministic simulator, so "no lost wakeup" is a
 // *structural* claim, not a statistical one: the waiter parks with no
@@ -12,9 +13,11 @@
 #include <memory>
 #include <vector>
 
+#include "locks/cna_rwlock.h"
 #include "locks/gcr.h"
 #include "locks/tas.h"
 #include "locktable/lock_table.h"
+#include "locktable/rw_lock_table.h"
 #include "parking/parking_lot.h"
 #include "platform/park.h"
 #include "qspin/qspinlock.h"
@@ -204,6 +207,83 @@ TEST(SimParking, BlockingLockTableMutualExclusion) {
     m.Run();
     EXPECT_EQ(counter, 8 * 4) << "seed " << seed;
   }
+}
+
+// The blocking tables driven through their RAII guards, which carry their own
+// queue nodes and never touch the handle pools: the guard hooks must still
+// spin-then-park and unpark.  Every critical section includes key 0's
+// stripe, so LockTable's Guard/MultiGuard keep a read-modify-write counter
+// exact; RwLockTable's readers must never see a writer inside, and its
+// WriteGuard/MultiGuard writers keep their own counter exact.
+TEST(SimParking, BlockingTablesThroughRaiiGuards) {
+  using Table = locktable::LockTable<SimPlatform, locks::TasLock<SimPlatform>>;
+  using RwTable =
+      locktable::RwLockTable<SimPlatform, locks::CnaRwLock<SimPlatform>>;
+  constexpr int kFibers = 8;
+  constexpr int kIters = 4;
+  std::uint64_t parks = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    sim::Machine m(TwoSocket(seed));
+    auto table = std::make_unique<Table>(
+        locktable::LockTableOptions{.stripes = 2, .blocking = true});
+    auto rw = std::make_unique<RwTable>(
+        locktable::LockTableOptions{.stripes = 2, .blocking = true});
+    int counter = 0;
+    int rw_counter = 0;
+    int writers_inside = 0;
+    bool reader_saw_writer = false;
+    auto exclusive_section = [](int& c) {
+      const int saw = c;
+      sim::Machine::Active()->AdvanceLocalWork(300);
+      c = saw + 1;
+    };
+    for (int f = 0; f < kFibers; ++f) {
+      m.Spawn([&, f] {
+        for (int i = 0; i < kIters; ++i) {
+          switch (f % 4) {
+            case 0: {
+              Table::Guard g(*table, 0);
+              exclusive_section(counter);
+              break;
+            }
+            case 1: {
+              Table::MultiGuard g(*table, {0, 1});
+              exclusive_section(counter);
+              break;
+            }
+            case 2: {
+              RwTable::ReadGuard g(*rw, 0);
+              reader_saw_writer |= writers_inside != 0;
+              sim::Machine::Active()->AdvanceLocalWork(300);
+              reader_saw_writer |= writers_inside != 0;
+              break;
+            }
+            default: {
+              auto write = [&] {
+                ++writers_inside;
+                exclusive_section(rw_counter);
+                --writers_inside;
+              };
+              if (i % 2 == 0) {
+                RwTable::WriteGuard g(*rw, 0);
+                write();
+              } else {
+                RwTable::MultiGuard g(*rw, {0, 1});
+                write();
+              }
+              break;
+            }
+          }
+        }
+      });
+    }
+    m.Run();
+    EXPECT_EQ(counter, kFibers / 2 * kIters) << "seed " << seed;
+    EXPECT_EQ(rw_counter, kFibers / 4 * kIters) << "seed " << seed;
+    EXPECT_FALSE(reader_saw_writer) << "seed " << seed;
+    parks += m.TotalStats().parks;
+  }
+  EXPECT_GT(parks, 0u) << "the guard paths never reached the parking lot";
 }
 
 // The parked qspinlock flavor: non-head queued waiters spin a budget, then
