@@ -209,23 +209,38 @@ TEST(ReshardingStress, PolicyGrowsUnderUniformContentionAndShrinksWhenQuiet) {
   // core away while holding, and every other worker that runs meanwhile
   // probes a held stripe -- a contention window the policy must see,
   // whatever the core count.
+  //
+  // The phase ends on a shared stop flag, raised once every worker has done
+  // its quota, so all workers still contend until the very end.  With fixed
+  // per-worker quotas the early finishers left the last worker running
+  // alone, and that quiet tail could shrink the grown table back before the
+  // assertions below.
   constexpr int kWorkers = 3;
   constexpr int kItersPerWorker = 4000;
+  std::atomic<int> quotas_done{0};
+  std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < kWorkers; ++t) {
     workers.emplace_back([&, t] {
       XorShift64 rng =
           XorShift64::FromSeed(0x9090 + static_cast<std::uint64_t>(t));
-      for (int i = 0; i < kItersPerWorker; ++i) {
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         const std::uint64_t key = rng.NextBelow(kKeyRange);
         table.Lock(key);
         if (rng.NextBelow(8) == 0) {
           std::this_thread::yield();
         }
         table.Unlock(key);
+        if (i + 1 == kItersPerWorker) {
+          quotas_done.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
+  while (quotas_done.load(std::memory_order_relaxed) < kWorkers) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
   for (auto& th : workers) {
     th.join();
   }
