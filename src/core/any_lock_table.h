@@ -71,7 +71,8 @@ class LockTableAdapter final : public AnyLockTable {
       std::size_t stripes[kInlineStripes];
       (void)table_.LockKeysInto(keys, count, stripes);
     } else {
-      (void)table_.LockKeys(keys, count);
+      std::vector<std::size_t> stripes(count);
+      (void)table_.LockKeysInto(keys, count, stripes.data());
     }
   }
 

@@ -70,6 +70,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -78,7 +79,6 @@
 #include "locks/lock_api.h"
 #include "locktable/handle_pool.h"
 #include "locktable/lock_table.h"
-#include "locktable/table_latency.h"
 #include "locktable/table_stats.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -109,6 +109,19 @@ struct CombiningTableOptions {
   // "combining".
   bool collect_latency = false;
   const char* metrics_name = nullptr;
+};
+
+// Latency sink, allocated only with collect_latency: operation latency
+// (submit to completion) and the size of each combining batch -- the
+// distribution behind CombiningStatsSummary's MeanBatchSize().
+struct CombiningLatency {
+  explicit CombiningLatency(const char* prefix)
+      : wait(telemetry::Registry::Global().GetHistogram(std::string(prefix) +
+                                                        ".wait_ns")),
+        batch(telemetry::Registry::Global().GetHistogram(std::string(prefix) +
+                                                         ".batch_size")) {}
+  telemetry::Histogram& wait;
+  telemetry::Histogram& batch;
 };
 
 template <typename P, locks::TryLockable L>

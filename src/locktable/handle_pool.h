@@ -4,18 +4,19 @@
 // Queue locks (MCS, CNA, ...) need a Handle per acquisition.  The paper notes
 // that "those structures can be reused for different lock acquisitions, and
 // between different locks" (Section 5); the kernel keeps 4 statically
-// preallocated nodes per CPU.  The RAII guards of the tables take the cheap
-// form of that reuse: a guard's lifetime brackets its acquisition, so it
-// carries the Handle on the caller's stack, as locks::ScopedLock does.  The
-// pool serves only the *handle-free* surface -- Lock(key)/TryLock(key)/
-// Unlock(key), LockKeysInto/UnlockStripesN, the C API, and the combining and
-// resizable tables built on them -- where an acquisition and its release are
-// separate calls and the handle has to live somewhere in between.  A context
-// checks a handle out when it locks a stripe and returns it when it unlocks,
-// so those callers get a plain lock(key)/unlock(key) surface with no handle
-// management.  Guard-held stripes appear here only as a per-context counter
-// (NoteGuardAcquired/NoteGuardReleased), so HeldByThisContext() still
-// counts them.
+// preallocated nodes per CPU.  The fixed tables keep one pool per access
+// mode inside their shared core (StripeTable, stripe_table.h).  Their RAII
+// guards take the cheap form of that reuse: a guard's lifetime brackets its
+// acquisition, so it carries the Handle on the caller's stack, as
+// locks::ScopedLock does.  The pool serves only the *handle-free* surface --
+// Lock(key)/TryLock(key)/Unlock(key), LockKeysInto/UnlockStripesN, the C
+// API, and the combining and resizable tables built on them -- where an
+// acquisition and its release are separate calls and the handle has to live
+// somewhere in between.  A context checks a handle out when it locks a
+// stripe and returns it when it unlocks, so those callers get a plain
+// lock(key)/unlock(key) surface with no handle management.  Guard-held
+// stripes appear here only as a per-context counter (NoteGuardAcquired/
+// NoteGuardReleased), so HeldByThisContext() still counts them.
 //
 // Storage: handles are carved out of per-socket slab arenas rather than
 // allocated one heap object at a time.  A context whose free list runs dry
@@ -99,11 +100,11 @@ class HandlePool {
 
   // Checks a handle out of this context's free list (refilling from the
   // socket-local slab arena if empty) and records it as active on `stripe`.
-  // The returned handle is stable in memory until the matching Detach():
+  // The returned handle is stable in memory until the matching TryDetach():
   // queue locks link waiters through handle addresses.
   Handle& Checkout(std::size_t stripe) {
     Slot& slot = ForThisContext();
-    SlotGuard g(slot);
+    BusyGuard g(slot);
     if (slot.free.empty()) {
       RefillFromArena(slot);
     }
@@ -114,37 +115,27 @@ class HandlePool {
   }
 
   // Removes the calling context's most recently checked-out handle for
-  // `stripe` from the active list and returns it.  The caller must Unlock()
-  // through it and then Recycle() it -- the handle has to stay alive until
-  // Unlock() returns (it does regardless: handles live in epoch-retired
-  // slabs).  Throws if this context holds no handle for the stripe (i.e.
-  // unlock without a matching lock).  Entries are matched by stripe AND by
-  // the raw (un-modded) context id: an entry is registered *before* its
-  // Lock() completes, so an aliased context's still-queued acquisition of
-  // the same stripe must never be mistaken for the unlocking holder's
-  // handle.
-  Handle* Detach(std::size_t stripe) {
-    Handle* h = DetachMatching(stripe, /*exact=*/nullptr);
-    if (h == nullptr) {
-      throw std::logic_error(
-          "locktable::HandlePool: unlock of a stripe this context does not "
-          "hold");
-    }
-    return h;
-  }
-
-  // Detach() that reports "not held" as nullptr instead of throwing: lets a
-  // caller that must probe several pools for the holder (the resizable
-  // table's Unlock walking current snapshot then migration predecessor) do
-  // ownership check and removal in one pass over the active list.
+  // `stripe` from the active list and returns it, or nullptr if this context
+  // holds no handle for the stripe (unlock without a matching lock).  The
+  // caller must Unlock() through it and then Recycle() it -- the handle has
+  // to stay alive until Unlock() returns (it does regardless: handles live
+  // in epoch-retired slabs).  Ownership check and removal are one pass over
+  // the active list, so a caller that must probe several pools for the
+  // holder (the resizable table's Unlock walking current snapshot then
+  // migration predecessor) pays one scan per pool.  Entries are matched by
+  // stripe AND by the raw (un-modded) context id: an entry is registered
+  // *before* its Lock() completes, so an aliased context's still-queued
+  // acquisition of the same stripe must never be mistaken for the unlocking
+  // holder's handle.
   Handle* TryDetach(std::size_t stripe) noexcept {
     return DetachMatching(stripe, /*exact=*/nullptr);
   }
 
-  // Detach() variant matching one specific handle: needed when a context has
-  // several outstanding checkouts on one stripe whose completion order is
-  // not LIFO (the combining layer's Submit futures, which the caller may
-  // Wait on in any order).  Same ownership rules as Detach().
+  // TryDetach() variant matching one specific handle, throwing when this
+  // context does not hold it: needed when a context has several outstanding
+  // checkouts on one stripe whose completion order is not LIFO (the
+  // combining layer's Submit futures, which the caller may Wait on in any
+  // order).
   Handle* DetachExact(std::size_t stripe, const Handle* h) {
     Handle* detached = DetachMatching(stripe, h);
     if (detached == nullptr) {
@@ -155,7 +146,7 @@ class HandlePool {
     return detached;
   }
 
-  // Returns a handle obtained from Checkout()+Detach() to the free list.
+  // Returns a handle obtained from Checkout()+TryDetach() to the free list.
   // noexcept: it runs *after* the lock was released (Guard destructors, the
   // C unlock path), where a throw would either terminate or misreport a
   // completed unlock as failed.  If growing the free list fails under memory
@@ -163,7 +154,7 @@ class HandlePool {
   // owns the storage and reclaims it at pool teardown.
   void Recycle(Handle* h) noexcept {
     Slot& slot = ForThisContext();
-    SlotGuard g(slot);
+    BusyGuard g(slot);
     try {
       slot.free.push_back(h);
     } catch (...) {
@@ -175,7 +166,7 @@ class HandlePool {
   bool HoldsInThisContext(std::size_t stripe) const {
     const Slot& slot = ForThisContext();
     const int self = P::CpuId();
-    SlotGuard g(slot);
+    BusyGuard g(slot);
     for (const Entry& e : slot.active) {
       if (e.stripe == stripe && e.owner == self) {
         return true;
@@ -218,7 +209,7 @@ class HandlePool {
   std::size_t ActiveInThisContext() const {
     const Slot& slot = ForThisContext();
     const int self = P::CpuId();
-    SlotGuard g(slot);
+    BusyGuard g(slot);
     const std::uint64_t w = slot.guard_held.load(std::memory_order_relaxed);
     std::size_t n = (w & ~kGuardCountMask) == GuardOwnerTag()
                         ? static_cast<std::size_t>(w & kGuardCountMask)
@@ -232,16 +223,8 @@ class HandlePool {
   // Free-list depth for this context (tests: verifies reuse, not growth).
   std::size_t PooledInThisContext() const {
     const Slot& slot = ForThisContext();
-    SlotGuard g(slot);
+    BusyGuard g(slot);
     return slot.free.size();
-  }
-
-  // Slabs allocated so far on `socket`'s arena (tests/diagnostics).
-  std::size_t SlabsOnSocket(int socket) const {
-    const Arena& arena =
-        arenas_[static_cast<unsigned>(socket) % kMaxSockets];
-    ArenaGuard g(arena);
-    return arena.slabs.size();
   }
 
  private:
@@ -308,14 +291,14 @@ class HandlePool {
     Handle* handle;
   };
 
-  // Shared matcher behind Detach/TryDetach/DetachExact: newest-first by
-  // stripe AND by the raw context id (see Detach's aliasing note),
+  // Shared matcher behind TryDetach/DetachExact: newest-first by stripe AND
+  // by the raw context id (see TryDetach's aliasing note),
   // optionally narrowed to one specific handle; nullptr when nothing
   // matches.
   Handle* DetachMatching(std::size_t stripe, const Handle* exact) noexcept {
     Slot& slot = ForThisContext();
     const int self = P::CpuId();
-    SlotGuard g(slot);
+    BusyGuard g(slot);
     for (std::size_t i = slot.active.size(); i-- > 0;) {
       if (slot.active[i].stripe == stripe && slot.active[i].owner == self &&
           (exact == nullptr || slot.active[i].handle == exact)) {
@@ -353,33 +336,19 @@ class HandlePool {
     std::vector<Slab*> slabs;
   };
 
-  class SlotGuard {
+  // Holds a slot's or an arena's `busy` flag for a scope.
+  class BusyGuard {
    public:
-    explicit SlotGuard(const Slot& slot) : busy_(slot.busy) {
+    template <typename Guarded>
+    explicit BusyGuard(const Guarded& g) : busy_(g.busy) {
       while (busy_.test_and_set(std::memory_order_acquire)) {
         SpinHint();
       }
     }
-    ~SlotGuard() { busy_.clear(std::memory_order_release); }
+    ~BusyGuard() { busy_.clear(std::memory_order_release); }
 
-    SlotGuard(const SlotGuard&) = delete;
-    SlotGuard& operator=(const SlotGuard&) = delete;
-
-   private:
-    std::atomic_flag& busy_;
-  };
-
-  class ArenaGuard {
-   public:
-    explicit ArenaGuard(const Arena& arena) : busy_(arena.busy) {
-      while (busy_.test_and_set(std::memory_order_acquire)) {
-        SpinHint();
-      }
-    }
-    ~ArenaGuard() { busy_.clear(std::memory_order_release); }
-
-    ArenaGuard(const ArenaGuard&) = delete;
-    ArenaGuard& operator=(const ArenaGuard&) = delete;
+    BusyGuard(const BusyGuard&) = delete;
+    BusyGuard& operator=(const BusyGuard&) = delete;
 
    private:
     std::atomic_flag& busy_;
@@ -398,7 +367,7 @@ class HandlePool {
     // duration.  Only the registration needs the guard.
     Slab* slab = Slab::New();
     {
-      ArenaGuard g(arena);
+      BusyGuard g(arena);
       try {
         arena.slabs.push_back(slab);
       } catch (...) {

@@ -18,13 +18,16 @@
 // out of the critical section -- and a guard's wait sample appears at its
 // release, not at its acquisition.
 //
-// A table opts in by befriending the guard templates and providing, for each
-// access mode it supports:
+// The guards call four hooks on the table, for each access mode it
+// supports:
 //   std::uint64_t GuardStart() const;   // t0, or 0 when not timing
 //   std::uint64_t GuardAcquire(Access, stripe, Handle&, multi_key, t_prev);
 //                                       // returns the ownership stamp
 //   void GuardRelease(Access, stripe, Handle&);
 //   void GuardRecord(Access, t_start, t_owned, t_release);
+// StripeTable (stripe_table.h) implements them once, generic over the access
+// mode; LockTable and RwLockTable inherit them privately and befriend the
+// guard templates, so only guards can reach them.
 #ifndef CNA_LOCKTABLE_STRIPE_GUARD_H_
 #define CNA_LOCKTABLE_STRIPE_GUARD_H_
 

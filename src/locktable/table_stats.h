@@ -78,7 +78,8 @@ class TableStats {
 
   bool enabled() const { return cells_ != nullptr; }
 
-  void OnAcquire(std::size_t stripe, bool was_contended, bool multi_key) {
+  void OnAcquire(std::size_t stripe, bool was_contended, bool multi_key,
+                 bool /*shared*/) {
     if (cells_ == nullptr) {
       return;
     }
@@ -191,25 +192,18 @@ class RwTableStats {
 
   bool enabled() const { return cells_ != nullptr; }
 
-  void OnReadAcquire(std::size_t stripe, bool was_contended) {
+  // A write acquisition that was contended is a writer wait.
+  void OnAcquire(std::size_t stripe, bool was_contended, bool /*multi_key*/,
+                 bool shared) {
     if (cells_ == nullptr) {
       return;
     }
     RwStripeCounters& c = cells_[stripe];
-    c.read_acquisitions.fetch_add(1, std::memory_order_relaxed);
+    (shared ? c.read_acquisitions : c.write_acquisitions)
+        .fetch_add(1, std::memory_order_relaxed);
     if (was_contended) {
-      c.read_contended.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void OnWriteAcquire(std::size_t stripe, bool waited) {
-    if (cells_ == nullptr) {
-      return;
-    }
-    RwStripeCounters& c = cells_[stripe];
-    c.write_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (waited) {
-      c.writer_waits.fetch_add(1, std::memory_order_relaxed);
+      (shared ? c.read_contended : c.writer_waits)
+          .fetch_add(1, std::memory_order_relaxed);
     }
   }
 

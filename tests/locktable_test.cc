@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -12,8 +13,10 @@
 #include "apps/sharded_kv.h"
 #include "base/rng.h"
 #include "locks/cna.h"
+#include "locks/cna_rwlock.h"
 #include "locks/mcs.h"
 #include "locktable/lock_table.h"
+#include "locktable/rw_lock_table.h"
 #include "platform/real_platform.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
@@ -329,6 +332,63 @@ TEST(LockTableStats, ObservesContentionOnSim) {
   EXPECT_EQ(s.total_acquisitions, 200u);
   EXPECT_GT(s.contended_acquisitions, 0u);
   EXPECT_EQ(s.occupied_stripes, 1u);
+}
+
+// stats_probe_period samples the contention probe of both fixed-table
+// flavors.  With a period far beyond the run's acquisition count no
+// acquisition probes, so the contended run above still counts every
+// acquisition but records no contention (nor any writer wait), while the
+// same run probing every acquisition does record it.
+template <typename Table, typename Op>
+auto RunContendedOnSim(std::uint32_t probe_period, Op op) {
+  sim::Machine m(TwoSocketSmall());
+  auto table = std::make_unique<Table>(locktable::LockTableOptions{
+      .stripes = 1,
+      .collect_stats = true,
+      .stats_probe_period = probe_period});
+  for (int t = 0; t < 4; ++t) {
+    m.Spawn([&, t] {
+      for (int i = 0; i < 50; ++i) {
+        op(*table, t);
+      }
+    });
+  }
+  m.Run();
+  return table->StatsSummary();
+}
+
+TEST(LockTableStats, ProbePeriodSamplesBothFixedTableFlavors) {
+  using SimRwTable = locktable::RwLockTable<
+      SimPlatform, locks::CnaRwLock<SimPlatform, locks::CnaRwCompactConfig>>;
+  constexpr std::uint32_t kNeverProbes = 1u << 30;
+  auto hold = [] { sim::Machine::Active()->AdvanceLocalWork(200); };
+
+  auto lock_op = [&](SimTable& t, int /*thread*/) {
+    SimTable::Guard g(t, 0);
+    hold();
+  };
+  EXPECT_GT(RunContendedOnSim<SimTable>(1, lock_op).contended_acquisitions,
+            0u);
+  const auto sampled = RunContendedOnSim<SimTable>(kNeverProbes, lock_op);
+  EXPECT_EQ(sampled.total_acquisitions, 200u);
+  EXPECT_EQ(sampled.contended_acquisitions, 0u);
+
+  // Half the threads write, half read.
+  auto rw_op = [&](SimRwTable& t, int thread) {
+    if (thread % 2 == 0) {
+      SimRwTable::WriteGuard g(t, 0);
+      hold();
+    } else {
+      SimRwTable::ReadGuard g(t, 0);
+      hold();
+    }
+  };
+  EXPECT_GT(RunContendedOnSim<SimRwTable>(1, rw_op).writer_waits, 0u);
+  const auto rw_sampled = RunContendedOnSim<SimRwTable>(kNeverProbes, rw_op);
+  EXPECT_EQ(rw_sampled.write_acquisitions, 100u);
+  EXPECT_EQ(rw_sampled.read_acquisitions, 100u);
+  EXPECT_EQ(rw_sampled.writer_waits, 0u);
+  EXPECT_EQ(rw_sampled.read_contended, 0u);
 }
 
 // ---------- Simulator stress: mutual exclusion ----------
