@@ -5,15 +5,12 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
+#include <type_traits>
 
-#include "core/any_lock_table.h"
-#include "core/any_rwlock.h"
-#include "core/any_rwlock_table.h"
 #include "core/registry.h"
-#include "locktable/lock_table.h"
 #include "parking/parking_lot.h"
 #include "platform/real_platform.h"
 #include "telemetry/export.h"
@@ -23,67 +20,59 @@
 #include "telemetry/serve.h"
 #include "telemetry/trace.h"
 
-struct cna_mutex {
-  explicit cna_mutex(cna::core::LockKind kind) : impl(kind) {}
-  cna::core::Mutex impl;
-};
-
-struct cna_gcr {
-  explicit cna_gcr(cna::core::LockKind kind)
-      : impl(cna::core::MakeGcrLock<cna::RealPlatform>(kind)) {}
-  std::unique_ptr<cna::core::AnyGcrLock> impl;
-};
-
-struct cna_locktable {
-  cna_locktable(cna::core::LockKind kind, size_t stripes,
-                bool blocking = false)
-      : impl(cna::core::MakeLockTable<cna::RealPlatform>(
-            kind, cna::locktable::LockTableOptions{.stripes = stripes,
-                                                   .blocking = blocking})) {}
-  std::unique_ptr<cna::core::AnyLockTable> impl;
-};
-
-struct cna_resizable {
-  cna_resizable(cna::core::LockKind kind, size_t stripes)
-      : impl(cna::core::MakeResizableLockTable<cna::RealPlatform>(
-            kind,
-            cna::locktable::ResizableLockTableOptions{.stripes = stripes, .policy = {}})) {}
-  std::unique_ptr<cna::core::AnyResizableLockTable> impl;
-};
-
-struct cna_combining {
-  cna_combining(cna::core::LockKind kind, size_t stripes)
-      : impl(cna::core::MakeCombiningTable<cna::RealPlatform>(
-            kind, cna::locktable::CombiningTableOptions{
-                      .stripes = stripes, .collect_stats = true})) {}
-  std::unique_ptr<cna::core::AnyCombiningTable> impl;
-};
-
-struct cna_rwlock {
-  explicit cna_rwlock(cna::core::RwLockKind kind)
-      : impl(cna::core::MakeRwLock<cna::RealPlatform>(kind)) {}
-  std::unique_ptr<cna::core::AnyRwLock> impl;
-};
-
-struct cna_rwlocktable {
-  cna_rwlocktable(cna::core::RwLockKind kind, size_t stripes)
-      : impl(cna::core::MakeRwLockTable<cna::RealPlatform>(
-            kind, cna::locktable::LockTableOptions{.stripes = stripes})) {}
-  std::unique_ptr<cna::core::AnyRwLockTable> impl;
-};
-
 namespace {
 
-// No C++ exception may cross the extern "C" boundary.  Every lock/unlock
-// entry point runs through this barrier, mapping to pthread-style errno
-// codes: unlock-without-lock (logic_error) -> EPERM, oversized requests
-// (length_error -- caught first, it derives from logic_error) -> EINVAL,
-// allocation failure (handle pools, multi-key scratch space) -> ENOMEM,
-// anything else -> EINVAL.
-template <typename F>
-int GuardedCall(F&& f) {
+using cna::RealPlatform;
+using namespace cna::core;  // NOLINT(build/namespaces)
+using cna::locktable::CombiningTableOptions;
+using cna::locktable::LockTableOptions;
+using cna::locktable::ResizableLockTableOptions;
+
+std::optional<LockKind> LockKindOf(const char* name) {
+  return name == nullptr ? std::nullopt : LockKindFromName(name);
+}
+
+std::optional<RwLockKind> RwLockKindOf(const char* name) {
+  return name == nullptr ? std::nullopt : RwLockKindFromName(name);
+}
+
+// Every create entry point: a Box holding make(kind, args...); nullptr for a
+// missing kind (null or unknown name), and nullptr when construction throws
+// -- bad_alloc, length_error from an absurd stripe count, invalid_argument
+// from a kind without the flavor's fast path -- so no exception crosses
+// extern "C".
+template <typename Box, typename Kind, typename Make, typename... Args>
+Box* Create(std::optional<Kind> kind, Make make, const Args&... args) noexcept {
+  if (!kind.has_value()) {
+    return nullptr;
+  }
   try {
-    return std::forward<F>(f)();
+    return new Box{make(*kind, args...)};
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+// Every operation entry point: EINVAL for a null handle, else
+// (box->impl->*Op)(args...) behind the exception barrier.  Void operations
+// return 0, bool ones (try-locks, resize) 0 or EBUSY.  Exceptions map to
+// pthread-style codes: unlock-without-lock (logic_error) -> EPERM,
+// oversized requests (length_error -- caught first, it derives from
+// logic_error) -> EINVAL, allocation failure (handles, multi-key scratch
+// space) -> ENOMEM, anything else -> EINVAL.
+template <auto Op, typename Box, typename... Args>
+int Call(Box* box, Args... args) noexcept {
+  if (box == nullptr) {
+    return EINVAL;
+  }
+  try {
+    auto& impl = *box->impl;
+    if constexpr (std::is_void_v<decltype((impl.*Op)(args...))>) {
+      (impl.*Op)(args...);
+      return 0;
+    } else {
+      return (impl.*Op)(args...) ? 0 : EBUSY;
+    }
   } catch (const std::length_error&) {
     return EINVAL;
   } catch (const std::logic_error&) {
@@ -95,140 +84,98 @@ int GuardedCall(F&& f) {
   }
 }
 
+// Multi-key operations: also EINVAL for a null key array with a nonzero
+// count.  An unlock of a key set some stripe of which this thread does not
+// hold is EPERM; the checked release verifies the whole set first, so
+// nothing is half-released.
+template <auto Op, typename Box>
+int CallMany(Box* box, const uint64_t* keys, size_t count) noexcept {
+  if (keys == nullptr && count != 0) {
+    return EINVAL;
+  }
+  return Call<Op>(box, keys, count);
+}
+
+// Every string-returning entry point: make()'s text in a malloc'd copy the
+// caller frees with cna_telemetry_free; nullptr when make() or the copy
+// fails.
+template <typename Make>
+char* MallocString(Make make) noexcept {
+  try {
+    const std::string s = make();
+    char* buf = static_cast<char*>(std::malloc(s.size() + 1));
+    if (buf != nullptr) {
+      std::memcpy(buf, s.c_str(), s.size() + 1);
+    }
+    return buf;
+  } catch (...) {
+    return nullptr;
+  }
+}
+
 }  // namespace
+
+// Each opaque C handle boxes one type-erased object.
+struct cna_mutex { std::unique_ptr<AnyLock> impl; };
+struct cna_gcr { std::unique_ptr<AnyGcrLock> impl; };
+struct cna_locktable { std::unique_ptr<AnyLockTable> impl; };
+struct cna_resizable { std::unique_ptr<AnyResizableLockTable> impl; };
+struct cna_combining { std::unique_ptr<AnyCombiningTable> impl; };
+struct cna_rwlock { std::unique_ptr<AnyRwLock> impl; };
+struct cna_rwlocktable { std::unique_ptr<AnyRwLockTable> impl; };
 
 extern "C" {
 
 cna_mutex_t* cna_mutex_create(const char* lock_name) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow) cna_mutex(*kind);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_mutex>(LockKindOf(lock_name), MakeLock<RealPlatform>);
 }
 
 cna_mutex_t* cna_mutex_create_default(void) {
-  try {
-    return new (std::nothrow) cna_mutex(cna::core::LockKind::kCna);
-  } catch (...) {
-    return nullptr;
-  }
+  return cna_mutex_create("cna");
 }
 
 void cna_mutex_destroy(cna_mutex_t* mutex) { delete mutex; }
 
-int cna_mutex_lock(cna_mutex_t* mutex) {
-  if (mutex == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    mutex->impl.lock();
-    return 0;
-  });
-}
+int cna_mutex_lock(cna_mutex_t* mutex) { return Call<&AnyLock::Lock>(mutex); }
 
 int cna_mutex_trylock(cna_mutex_t* mutex) {
-  if (mutex == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] { return mutex->impl.try_lock() ? 0 : EBUSY; });
+  return Call<&AnyLock::TryLock>(mutex);
 }
 
 int cna_mutex_unlock(cna_mutex_t* mutex) {
-  if (mutex == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    mutex->impl.unlock();
-    return 0;
-  });
+  return Call<&AnyLock::Unlock>(mutex);
 }
 
 size_t cna_mutex_state_bytes(const cna_mutex_t* mutex) {
-  return mutex == nullptr ? 0 : mutex->impl.state_bytes();
+  return mutex == nullptr ? 0 : mutex->impl->StateBytes();
 }
 
 cna_gcr_t* cna_gcr_create(const char* lock_name) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow) cna_gcr(*kind);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_gcr>(LockKindOf(lock_name), MakeGcrLock<RealPlatform>);
 }
 
 cna_gcr_t* cna_gcr_create_default(void) {
-  try {
-    return new (std::nothrow) cna_gcr(cna::core::LockKind::kCna);
-  } catch (...) {
-    return nullptr;
-  }
+  return cna_gcr_create("cna");
 }
 
 void cna_gcr_destroy(cna_gcr_t* gcr) { delete gcr; }
 
-int cna_gcr_lock(cna_gcr_t* gcr) {
-  if (gcr == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    gcr->impl->Lock();
-    return 0;
-  });
-}
+int cna_gcr_lock(cna_gcr_t* gcr) { return Call<&AnyGcrLock::Lock>(gcr); }
 
 int cna_gcr_trylock(cna_gcr_t* gcr) {
-  if (gcr == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] { return gcr->impl->TryLock() ? 0 : EBUSY; });
+  return Call<&AnyGcrLock::TryLock>(gcr);
 }
 
-int cna_gcr_unlock(cna_gcr_t* gcr) {
-  if (gcr == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    gcr->impl->Unlock();
-    return 0;
-  });
-}
+int cna_gcr_unlock(cna_gcr_t* gcr) { return Call<&AnyGcrLock::Unlock>(gcr); }
 
-int cna_gcr_engage(cna_gcr_t* gcr) {
-  if (gcr == nullptr) {
-    return EINVAL;
-  }
-  gcr->impl->Engage();
-  return 0;
-}
+int cna_gcr_engage(cna_gcr_t* gcr) { return Call<&AnyGcrLock::Engage>(gcr); }
 
 int cna_gcr_disengage(cna_gcr_t* gcr) {
-  if (gcr == nullptr) {
-    return EINVAL;
-  }
-  gcr->impl->Disengage();
-  return 0;
+  return Call<&AnyGcrLock::Disengage>(gcr);
 }
 
 int cna_gcr_set_active_limit(cna_gcr_t* gcr, uint32_t limit) {
-  if (gcr == nullptr) {
-    return EINVAL;
-  }
-  gcr->impl->SetActiveLimit(limit);
-  return 0;
+  return Call<&AnyGcrLock::SetActiveLimit>(gcr, limit);
 }
 
 int cna_gcr_restricted(const cna_gcr_t* gcr) {
@@ -255,100 +202,44 @@ size_t cna_gcr_state_bytes(const cna_gcr_t* gcr) {
 }
 
 cna_locktable_t* cna_locktable_create(const char* lock_name, size_t stripes) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  // The constructor allocates the stripe array; bad_alloc/length_error (e.g.
-  // an absurd stripe count) must surface as nullptr, not cross extern "C".
-  try {
-    return new (std::nothrow) cna_locktable(*kind, stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_locktable>(LockKindOf(lock_name),
+                               MakeLockTable<RealPlatform>,
+                               LockTableOptions{.stripes = stripes});
 }
 
 cna_locktable_t* cna_locktable_create_default(size_t stripes) {
-  try {
-    return new (std::nothrow)
-        cna_locktable(cna::core::LockKind::kCna, stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return cna_locktable_create("cna", stripes);
 }
 
 cna_locktable_t* cna_locktable_create_blocking(const char* lock_name,
                                                size_t stripes) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow)
-        cna_locktable(*kind, stripes, /*blocking=*/true);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_locktable>(
+      LockKindOf(lock_name), MakeLockTable<RealPlatform>,
+      LockTableOptions{.stripes = stripes, .blocking = true});
 }
 
 void cna_locktable_destroy(cna_locktable_t* table) { delete table; }
 
 int cna_locktable_lock(cna_locktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->Lock(key);
-    return 0;
-  });
+  return Call<&AnyLockTable::Lock>(table, key);
 }
 
 int cna_locktable_trylock(cna_locktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] { return table->impl->TryLock(key) ? 0 : EBUSY; });
+  return Call<&AnyLockTable::TryLock>(table, key);
 }
 
 int cna_locktable_unlock(cna_locktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread does not hold the key's stripe.
-  return GuardedCall([&] {
-    table->impl->Unlock(key);
-    return 0;
-  });
+  return Call<&AnyLockTable::Unlock>(table, key);
 }
 
 int cna_locktable_lock_many(cna_locktable_t* table, const uint64_t* keys,
                             size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockMany(keys, count);
-    return 0;
-  });
+  return CallMany<&AnyLockTable::LockMany>(table, keys, count);
 }
 
 int cna_locktable_unlock_many(cna_locktable_t* table, const uint64_t* keys,
                               size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  // EPERM when some stripe in the set is not held by this thread; the checked
-  // release verifies the whole set first, so nothing is half-released.
-  return GuardedCall([&] {
-    table->impl->UnlockMany(keys, count);
-    return 0;
-  });
+  return CallMany<&AnyLockTable::UnlockMany>(table, keys, count);
 }
 
 size_t cna_locktable_stripes(const cna_locktable_t* table) {
@@ -367,87 +258,41 @@ size_t cna_locktable_state_bytes(const cna_locktable_t* table) {
 
 cna_resizable_t* cna_resizable_create(const char* lock_name,
                                       size_t initial_stripes) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow) cna_resizable(*kind, initial_stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_resizable>(
+      LockKindOf(lock_name), MakeResizableLockTable<RealPlatform>,
+      ResizableLockTableOptions{.stripes = initial_stripes, .policy = {}});
 }
 
 cna_resizable_t* cna_resizable_create_default(size_t initial_stripes) {
-  try {
-    return new (std::nothrow)
-        cna_resizable(cna::core::LockKind::kCna, initial_stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return cna_resizable_create("cna", initial_stripes);
 }
 
 void cna_resizable_destroy(cna_resizable_t* table) { delete table; }
 
 int cna_resizable_lock(cna_resizable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->Lock(key);
-    return 0;
-  });
+  return Call<&AnyResizableLockTable::Lock>(table, key);
 }
 
 int cna_resizable_trylock(cna_resizable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] { return table->impl->TryLock(key) ? 0 : EBUSY; });
+  return Call<&AnyResizableLockTable::TryLock>(table, key);
 }
 
 int cna_resizable_unlock(cna_resizable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread does not hold the key in any live snapshot.
-  return GuardedCall([&] {
-    table->impl->Unlock(key);
-    return 0;
-  });
+  return Call<&AnyResizableLockTable::Unlock>(table, key);
 }
 
 int cna_resizable_lock_many(cna_resizable_t* table, const uint64_t* keys,
                             size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockMany(keys, count);
-    return 0;
-  });
+  return CallMany<&AnyResizableLockTable::LockMany>(table, keys, count);
 }
 
 int cna_resizable_unlock_many(cna_resizable_t* table, const uint64_t* keys,
                               size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->UnlockMany(keys, count);
-    return 0;
-  });
+  return CallMany<&AnyResizableLockTable::UnlockMany>(table, keys, count);
 }
 
 int cna_resizable_resize(cna_resizable_t* table, size_t stripes) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall(
-      [&] { return table->impl->TryResize(stripes) ? 0 : EBUSY; });
+  return Call<&AnyResizableLockTable::TryResize>(table, stripes);
 }
 
 size_t cna_resizable_stripes(const cna_resizable_t* table) {
@@ -481,77 +326,40 @@ uint64_t cna_resizable_epoch_reclaimed(const cna_resizable_t* table) {
 // ----------------------------- combining table -----------------------------
 
 cna_combining_t* cna_combining_create(const char* lock_name, size_t stripes) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value() ||
-      !cna::core::SupportsCombining<cna::RealPlatform>(*kind)) {
-    return nullptr;
-  }
-  // bad_alloc and length_error surface as nullptr rather than crossing
-  // extern "C".
-  try {
-    return new (std::nothrow) cna_combining(*kind, stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_combining>(
+      LockKindOf(lock_name), MakeCombiningTable<RealPlatform>,
+      CombiningTableOptions{.stripes = stripes, .collect_stats = true});
 }
 
 cna_combining_t* cna_combining_create_default(size_t stripes) {
-  try {
-    return new (std::nothrow)
-        cna_combining(cna::core::LockKind::kCna, stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return cna_combining_create("cna", stripes);
 }
 
 void cna_combining_destroy(cna_combining_t* table) { delete table; }
 
 int cna_combining_apply(cna_combining_t* table, uint64_t key,
                         cna_combining_fn fn, void* ctx) {
-  if (table == nullptr || fn == nullptr) {
+  if (fn == nullptr) {
     return EINVAL;
   }
-  return GuardedCall([&] {
-    table->impl->Apply(key, fn, ctx);
-    return 0;
-  });
+  return Call<&AnyCombiningTable::Apply>(table, key, fn, ctx);
 }
 
 int cna_combining_apply_batch(cna_combining_t* table, const uint64_t* keys,
                               size_t count, cna_combining_key_fn fn,
                               void* ctx) {
-  if (table == nullptr || fn == nullptr ||
-      (keys == nullptr && count != 0)) {
+  if (fn == nullptr || (keys == nullptr && count != 0)) {
     return EINVAL;
   }
-  return GuardedCall([&] {
-    table->impl->ApplyBatch(keys, count, fn, ctx);
-    return 0;
-  });
+  return Call<&AnyCombiningTable::ApplyBatch>(table, keys, count, fn, ctx);
 }
 
 int cna_combining_lock(cna_combining_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->Lock(key);
-    return 0;
-  });
+  return Call<&AnyCombiningTable::Lock>(table, key);
 }
 
 int cna_combining_unlock(cna_combining_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread does not hold the key's stripe.
-  return GuardedCall([&] {
-    table->impl->Unlock(key);
-    return 0;
-  });
+  return Call<&AnyCombiningTable::Unlock>(table, key);
 }
 
 size_t cna_combining_stripes(const cna_combining_t* table) {
@@ -577,74 +385,34 @@ uint64_t cna_combining_combined_ops(const cna_combining_t* table) {
 // --------------------------- reader-writer lock ----------------------------
 
 cna_rwlock_t* cna_rwlock_create(const char* rwlock_name) {
-  if (rwlock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::RwLockKindFromName(rwlock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow) cna_rwlock(*kind);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_rwlock>(RwLockKindOf(rwlock_name),
+                            MakeRwLock<RealPlatform>);
 }
 
 cna_rwlock_t* cna_rwlock_create_default(void) {
-  try {
-    return new (std::nothrow) cna_rwlock(cna::core::RwLockKind::kCnaRw);
-  } catch (...) {
-    return nullptr;
-  }
+  return cna_rwlock_create("cna-rw");
 }
 
 void cna_rwlock_destroy(cna_rwlock_t* rwlock) { delete rwlock; }
 
 int cna_rwlock_rdlock(cna_rwlock_t* rwlock) {
-  if (rwlock == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    rwlock->impl->LockShared();
-    return 0;
-  });
+  return Call<&AnyRwLock::LockShared>(rwlock);
 }
 
 int cna_rwlock_tryrdlock(cna_rwlock_t* rwlock) {
-  if (rwlock == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall(
-      [&] { return rwlock->impl->TryLockShared() ? 0 : EBUSY; });
+  return Call<&AnyRwLock::TryLockShared>(rwlock);
 }
 
 int cna_rwlock_wrlock(cna_rwlock_t* rwlock) {
-  if (rwlock == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    rwlock->impl->Lock();
-    return 0;
-  });
+  return Call<&AnyRwLock::Lock>(rwlock);
 }
 
 int cna_rwlock_trywrlock(cna_rwlock_t* rwlock) {
-  if (rwlock == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] { return rwlock->impl->TryLock() ? 0 : EBUSY; });
+  return Call<&AnyRwLock::TryLock>(rwlock);
 }
 
 int cna_rwlock_unlock(cna_rwlock_t* rwlock) {
-  if (rwlock == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread holds the lock in neither mode.
-  return GuardedCall([&] {
-    rwlock->impl->UnlockAny();
-    return 0;
-  });
+  return Call<&AnyRwLock::UnlockAny>(rwlock);
 }
 
 size_t cna_rwlock_state_bytes(const cna_rwlock_t* rwlock) {
@@ -655,100 +423,45 @@ size_t cna_rwlock_state_bytes(const cna_rwlock_t* rwlock) {
 
 cna_rwlocktable_t* cna_rwlocktable_create(const char* rwlock_name,
                                           size_t stripes) {
-  if (rwlock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::RwLockKindFromName(rwlock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow) cna_rwlocktable(*kind, stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return Create<cna_rwlocktable>(RwLockKindOf(rwlock_name),
+                                 MakeRwLockTable<RealPlatform>,
+                                 LockTableOptions{.stripes = stripes});
 }
 
 cna_rwlocktable_t* cna_rwlocktable_create_default(size_t stripes) {
-  try {
-    return new (std::nothrow)
-        cna_rwlocktable(cna::core::RwLockKind::kCnaRwCompact, stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return cna_rwlocktable_create("cna-rw-compact", stripes);
 }
 
 void cna_rwlocktable_destroy(cna_rwlocktable_t* table) { delete table; }
 
 int cna_rwlocktable_rdlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockShared(key);
-    return 0;
-  });
+  return Call<&AnyRwLockTable::LockShared>(table, key);
 }
 
 int cna_rwlocktable_tryrdlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall(
-      [&] { return table->impl->TryLockShared(key) ? 0 : EBUSY; });
+  return Call<&AnyRwLockTable::TryLockShared>(table, key);
 }
 
 int cna_rwlocktable_wrlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockExclusive(key);
-    return 0;
-  });
+  return Call<&AnyRwLockTable::LockExclusive>(table, key);
 }
 
 int cna_rwlocktable_trywrlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall(
-      [&] { return table->impl->TryLockExclusive(key) ? 0 : EBUSY; });
+  return Call<&AnyRwLockTable::TryLockExclusive>(table, key);
 }
 
 int cna_rwlocktable_unlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread holds the key's stripe in neither mode.
-  return GuardedCall([&] {
-    table->impl->Unlock(key);
-    return 0;
-  });
+  return Call<&AnyRwLockTable::Unlock>(table, key);
 }
 
 int cna_rwlocktable_wrlock_many(cna_rwlocktable_t* table,
                                 const uint64_t* keys, size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockMany(keys, count);
-    return 0;
-  });
+  return CallMany<&AnyRwLockTable::LockMany>(table, keys, count);
 }
 
 int cna_rwlocktable_unlock_many(cna_rwlocktable_t* table,
                                 const uint64_t* keys, size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  // EPERM when some stripe in the set is not held exclusively; the checked
-  // release verifies the whole set first, so nothing is half-released.
-  return GuardedCall([&] {
-    table->impl->UnlockMany(keys, count);
-    return 0;
-  });
+  return CallMany<&AnyRwLockTable::UnlockMany>(table, keys, count);
 }
 
 size_t cna_rwlocktable_stripes(const cna_rwlocktable_t* table) {
@@ -799,47 +512,25 @@ void cna_telemetry_reset(void) {
 }
 
 char* cna_telemetry_export(int format) {
-  std::string out;
-  try {
-    switch (format) {
-      case CNA_TELEMETRY_FORMAT_TEXT:
-        out = cna::telemetry::ToLockStatText(cna::telemetry::SnapshotAll());
-        break;
-      case CNA_TELEMETRY_FORMAT_JSON:
-        out = cna::telemetry::ToJson(cna::telemetry::SnapshotAll());
-        break;
-      case CNA_TELEMETRY_FORMAT_PROMETHEUS:
-        out = cna::telemetry::ToPrometheus(cna::telemetry::SnapshotAll());
-        break;
-      case CNA_TELEMETRY_FORMAT_CHROME:
-        out = cna::telemetry::ToChromeTraceJson(cna::telemetry::CollectTrace());
-        break;
-      default:
-        return nullptr;
-    }
-  } catch (...) {
-    return nullptr;
+  namespace t = cna::telemetry;
+  switch (format) {
+    case CNA_TELEMETRY_FORMAT_TEXT:
+      return MallocString([] { return t::ToLockStatText(t::SnapshotAll()); });
+    case CNA_TELEMETRY_FORMAT_JSON:
+      return MallocString([] { return t::ToJson(t::SnapshotAll()); });
+    case CNA_TELEMETRY_FORMAT_PROMETHEUS:
+      return MallocString([] { return t::ToPrometheus(t::SnapshotAll()); });
+    case CNA_TELEMETRY_FORMAT_CHROME:
+      return MallocString(
+          [] { return t::ToChromeTraceJson(t::CollectTrace()); });
+    default:
+      return nullptr;
   }
-  char* buf = static_cast<char*>(std::malloc(out.size() + 1));
-  if (buf == nullptr) {
-    return nullptr;
-  }
-  std::memcpy(buf, out.c_str(), out.size() + 1);
-  return buf;
 }
 
 void cna_telemetry_free(char* exported) { std::free(exported); }
 
 namespace {
-
-char* MallocString(const std::string& s) {
-  char* buf = static_cast<char*>(std::malloc(s.size() + 1));
-  if (buf == nullptr) {
-    return nullptr;
-  }
-  std::memcpy(buf, s.c_str(), s.size() + 1);
-  return buf;
-}
 
 // The serve endpoint the C surface manages (the global sampler backs its
 // /series route).
@@ -876,12 +567,8 @@ double cna_sampler_rate(const char* metric, size_t window) {
 }
 
 char* cna_sampler_series_json(size_t window) {
-  try {
-    return MallocString(
-        cna::telemetry::Sampler::Global().SeriesJson(window));
-  } catch (...) {
-    return nullptr;
-  }
+  return MallocString(
+      [=] { return cna::telemetry::Sampler::Global().SeriesJson(window); });
 }
 
 void cna_sampler_rebaseline(void) {
@@ -925,28 +612,17 @@ uint64_t cna_lockdep_park_while_held(void) {
 }
 
 char* cna_lockdep_report(void) {
-  try {
-    return MallocString(cna::telemetry::lockdep::ReportText());
-  } catch (...) {
-    return nullptr;
-  }
+  return MallocString(cna::telemetry::lockdep::ReportText);
 }
 
 char* cna_lockdep_dot(void) {
-  try {
-    return MallocString(cna::telemetry::lockdep::ReportDot());
-  } catch (...) {
-    return nullptr;
-  }
+  return MallocString(cna::telemetry::lockdep::ReportDot);
 }
 
 char* cna_lockdep_folded(int weight_by_wait) {
-  try {
-    return MallocString(
-        cna::telemetry::lockdep::FoldedStacks(weight_by_wait != 0));
-  } catch (...) {
-    return nullptr;
-  }
+  return MallocString([=] {
+    return cna::telemetry::lockdep::FoldedStacks(weight_by_wait != 0);
+  });
 }
 
 void cna_lockdep_reset(void) { cna::telemetry::lockdep::Reset(); }

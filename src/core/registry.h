@@ -13,13 +13,8 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/any_combining_table.h"
-#include "core/any_gcr_lock.h"
 #include "core/any_lock.h"
 #include "core/any_lock_table.h"
-#include "core/any_resizable_table.h"
-#include "core/any_rwlock.h"
-#include "core/any_rwlock_table.h"
 #include "locks/clh.h"
 #include "locks/cna.h"
 #include "locks/cna_rwlock.h"
@@ -170,10 +165,6 @@ std::unique_ptr<AnyResizableLockTable> MakeResizableLockTable(
       });
 }
 
-// ---------------------------------------------------------------------------
-// Flat combining: the batch-execution counterpart of MakeLockTable.
-// ---------------------------------------------------------------------------
-
 // Whether `kind`'s lock class supports the combining layer (it needs a
 // try-lock fast path for fast-path/slow-path splitting).
 template <typename P>
@@ -183,67 +174,36 @@ bool SupportsCombining(LockKind kind) {
   });
 }
 
-// Invokes `f` with std::type_identity<locktable::CombiningTable<P, L>>{}
-// where L implements `kind`.  Single point of truth for the kind ->
-// combining-table mapping, built on WithLockType the way MakeLockTable is:
-// any try-lockable kind added there is automatically constructible as a
-// combining table.  Throws std::invalid_argument for kinds without a
-// try-lock path.
-template <typename P, typename F>
-decltype(auto) WithCombining(LockKind kind, F&& f) {
+// Builds a type-erased flat-combining table of `kind` over platform P: the
+// batch-execution counterpart of MakeLockTable.  Throws
+// std::invalid_argument for kinds without a try-lock path.
+template <typename P>
+std::unique_ptr<AnyCombiningTable> MakeCombiningTable(
+    LockKind kind, const locktable::CombiningTableOptions& options) {
   return WithLockType<P>(
-      kind, [&f]<typename L>(std::type_identity<L>) -> decltype(auto) {
+      kind,
+      [&options, name = std::string(LockKindName(kind))]<typename L>(
+          std::type_identity<L>) -> std::unique_ptr<AnyCombiningTable> {
         if constexpr (locks::TryLockable<L>) {
-          return f(std::type_identity<locktable::CombiningTable<P, L>>{});
+          return std::make_unique<CombiningTableAdapter<P, L>>(name, options);
         } else {
           throw std::invalid_argument(
-              "WithCombining: lock kind has no try-lock path (flat combining "
-              "needs a stripe fast path)");
-          // Unreachable; gives the lambda a consistent return type.
-          return f(std::type_identity<locktable::CombiningTable<P, locks::CnaLock<P>>>{});
+              "MakeCombiningTable: lock kind has no try-lock path (flat "
+              "combining needs a stripe fast path)");
         }
       });
 }
 
-// Builds a type-erased flat-combining table of `kind` over platform P.
-template <typename P>
-std::unique_ptr<AnyCombiningTable> MakeCombiningTable(
-    LockKind kind, const locktable::CombiningTableOptions& options) {
-  return WithCombining<P>(
-      kind,
-      [&options, name = std::string(LockKindName(kind))]<typename C>(
-          std::type_identity<C>) -> std::unique_ptr<AnyCombiningTable> {
-        return std::make_unique<
-            CombiningTableAdapter<P, typename C::LockType>>(name, options);
-      });
-}
-
-// ---------------------------------------------------------------------------
-// Concurrency restriction: GCR-wrapped counterparts of MakeLock.
-// ---------------------------------------------------------------------------
-
-// Invokes `f` with std::type_identity<locks::GcrLock<P, L>>{} where L
-// implements `kind`.  Single point of truth for the kind -> GCR-wrapped
-// mapping, built on WithLockType the way WithCombining is: every lock kind is
-// automatically wrappable in concurrency restriction.
-template <typename P, typename F>
-decltype(auto) WithGcr(LockKind kind, F&& f) {
-  return WithLockType<P>(
-      kind, [&f]<typename L>(std::type_identity<L>) -> decltype(auto) {
-        return f(std::type_identity<locks::GcrLock<P, L>>{});
-      });
-}
-
-// Builds a type-erased GCR-wrapped lock of `kind` over platform P.  Starts
-// disengaged: until Engage() it is the underlying lock plus bookkeeping.
+// Builds a type-erased GCR-wrapped lock of `kind` over platform P: the
+// concurrency-restriction counterpart of MakeLock.  Starts disengaged: until
+// Engage() it is the underlying lock plus bookkeeping.
 template <typename P>
 std::unique_ptr<AnyGcrLock> MakeGcrLock(LockKind kind) {
-  return WithGcr<P>(
+  return WithLockType<P>(
       kind,
-      [name = std::string("gcr-") + std::string(LockKindName(kind))]<typename G>(
-          std::type_identity<G>) -> std::unique_ptr<AnyGcrLock> {
-        return std::make_unique<GcrLockAdapter<P, typename G::Underlying>>(
-            name);
+      [name = "gcr-" + std::string(LockKindName(kind))]<typename L>(
+          std::type_identity<L>) -> std::unique_ptr<AnyGcrLock> {
+        return std::make_unique<GcrLockAdapter<P, L>>(name);
       });
 }
 
@@ -302,13 +262,10 @@ std::unique_ptr<AnyRwLockTable> MakeRwLockTable(
       });
 }
 
-// User-facing mutex over the real platform.  Satisfies the C++ Lockable
-// requirements, so std::lock_guard / std::unique_lock work directly.
-class Mutex {
+// The calls every user-facing mutex shares, over its type-erased lock I.
+template <typename I>
+class BasicMutex {
  public:
-  explicit Mutex(LockKind kind);
-  explicit Mutex(std::string_view name);
-
   void lock() { impl_->Lock(); }
   void unlock() { impl_->Unlock(); }
   bool try_lock() { return impl_->TryLock(); }
@@ -316,30 +273,40 @@ class Mutex {
   std::size_t state_bytes() const { return impl_->StateBytes(); }
   std::string name() const { return impl_->Name(); }
 
- private:
-  std::unique_ptr<AnyLock> impl_;
+ protected:
+  explicit BasicMutex(std::unique_ptr<I> impl) : impl_(std::move(impl)) {}
+
+  std::unique_ptr<I> impl_;
 };
 
-// User-facing sharded lock namespace over the real platform: the keyed
-// counterpart of Mutex.  lock(key)/unlock(key) serialize all keys that hash
-// to the same stripe; lock_many() takes several keys in deadlock-free order.
-class ShardedMutex {
+// User-facing mutex over the real platform.  Satisfies the C++ Lockable
+// requirements, so std::lock_guard / std::unique_lock work directly.
+class Mutex : public BasicMutex<AnyLock> {
  public:
-  ShardedMutex(LockKind kind, std::size_t stripes);
+  explicit Mutex(LockKind kind);
   // Throws std::invalid_argument on an unknown lock name.
-  ShardedMutex(std::string_view name, std::size_t stripes);
+  explicit Mutex(std::string_view name);
+};
 
-  void lock(std::uint64_t key) { impl_->Lock(key); }
-  bool try_lock(std::uint64_t key) { return impl_->TryLock(key); }
-  void unlock(std::uint64_t key) { impl_->Unlock(key); }
+// User-facing reader-writer mutex over the real platform.  Satisfies the C++
+// SharedLockable requirements, so std::shared_lock / std::unique_lock work
+// directly on it.
+class SharedMutex : public BasicMutex<AnyRwLock> {
+ public:
+  explicit SharedMutex(RwLockKind kind);
+  // Throws std::invalid_argument on an unknown rwlock name.
+  explicit SharedMutex(std::string_view name);
 
-  void lock_many(std::initializer_list<std::uint64_t> keys) {
-    impl_->LockMany(keys.begin(), keys.size());
-  }
-  void unlock_many(std::initializer_list<std::uint64_t> keys) {
-    impl_->UnlockMany(keys.begin(), keys.size());
-  }
+  void lock_shared() { impl_->LockShared(); }
+  bool try_lock_shared() { return impl_->TryLockShared(); }
+  void unlock_shared() { impl_->UnlockShared(); }
+};
 
+// The geometry every user-facing sharded namespace reports, over its
+// type-erased table I.
+template <typename I>
+class BasicSharded {
+ public:
   std::size_t stripes() const { return impl_->Stripes(); }
   std::size_t stripe_of(std::uint64_t key) const {
     return impl_->StripeOf(key);
@@ -347,14 +314,46 @@ class ShardedMutex {
   std::size_t lock_state_bytes() const { return impl_->LockStateBytes(); }
   std::string name() const { return impl_->Name(); }
 
- private:
-  std::unique_ptr<AnyLockTable> impl_;
+ protected:
+  explicit BasicSharded(std::unique_ptr<I> impl) : impl_(std::move(impl)) {}
+
+  std::unique_ptr<I> impl_;
+};
+
+// The keyed calls of the exclusive namespaces, over AnyLockTable or an
+// interface I extending it.
+template <typename I>
+class BasicShardedMutex : public BasicSharded<I> {
+ public:
+  void lock(std::uint64_t key) { this->impl_->Lock(key); }
+  bool try_lock(std::uint64_t key) { return this->impl_->TryLock(key); }
+  void unlock(std::uint64_t key) { this->impl_->Unlock(key); }
+
+  void lock_many(std::initializer_list<std::uint64_t> keys) {
+    this->impl_->LockMany(keys.begin(), keys.size());
+  }
+  void unlock_many(std::initializer_list<std::uint64_t> keys) {
+    this->impl_->UnlockMany(keys.begin(), keys.size());
+  }
+
+ protected:
+  using BasicSharded<I>::BasicSharded;
+};
+
+// User-facing sharded lock namespace over the real platform: the keyed
+// counterpart of Mutex.  lock(key)/unlock(key) serialize all keys that hash
+// to the same stripe; lock_many() takes several keys in deadlock-free order.
+class ShardedMutex : public BasicShardedMutex<AnyLockTable> {
+ public:
+  ShardedMutex(LockKind kind, std::size_t stripes);
+  // Throws std::invalid_argument on an unknown lock name.
+  ShardedMutex(std::string_view name, std::size_t stripes);
 };
 
 // User-facing *adaptive* sharded lock namespace over the real platform: a
 // ShardedMutex whose stripe count follows the measured contention (see
 // locktable::ResizePolicy).  stripes() reports the current snapshot.
-class AdaptiveShardedMutex {
+class AdaptiveShardedMutex : public BasicShardedMutex<AnyResizableLockTable> {
  public:
   AdaptiveShardedMutex(LockKind kind, std::size_t initial_stripes);
   AdaptiveShardedMutex(LockKind kind,
@@ -362,29 +361,8 @@ class AdaptiveShardedMutex {
   // Throws std::invalid_argument on an unknown lock name.
   AdaptiveShardedMutex(std::string_view name, std::size_t initial_stripes);
 
-  void lock(std::uint64_t key) { impl_->Lock(key); }
-  bool try_lock(std::uint64_t key) { return impl_->TryLock(key); }
-  void unlock(std::uint64_t key) { impl_->Unlock(key); }
-
-  void lock_many(std::initializer_list<std::uint64_t> keys) {
-    impl_->LockMany(keys.begin(), keys.size());
-  }
-  void unlock_many(std::initializer_list<std::uint64_t> keys) {
-    impl_->UnlockMany(keys.begin(), keys.size());
-  }
-
   bool try_resize(std::size_t stripes) { return impl_->TryResize(stripes); }
-
-  std::size_t stripes() const { return impl_->Stripes(); }
-  std::size_t stripe_of(std::uint64_t key) const {
-    return impl_->StripeOf(key);
-  }
-  std::size_t lock_state_bytes() const { return impl_->LockStateBytes(); }
   locktable::ResizableStatsSummary summary() const { return impl_->Summary(); }
-  std::string name() const { return impl_->Name(); }
-
- private:
-  std::unique_ptr<AnyResizableLockTable> impl_;
 };
 
 // User-facing flat-combining namespace over the real platform: the
@@ -394,7 +372,7 @@ class AdaptiveShardedMutex {
 // users (unlock drains the stripe's publication list first).  Construction
 // enables the per-stripe combined/pass-through counters, so combined_share()
 // reports how much of the workload combiners absorbed.
-class ShardedCombiner {
+class ShardedCombiner : public BasicSharded<AnyCombiningTable> {
  public:
   ShardedCombiner(LockKind kind, std::size_t stripes);
   // Throws std::invalid_argument on an unknown lock name or a lock without a
@@ -422,11 +400,6 @@ class ShardedCombiner {
   void lock(std::uint64_t key) { impl_->Lock(key); }
   void unlock(std::uint64_t key) { impl_->Unlock(key); }
 
-  std::size_t stripes() const { return impl_->Stripes(); }
-  std::size_t stripe_of(std::uint64_t key) const {
-    return impl_->StripeOf(key);
-  }
-  std::size_t lock_state_bytes() const { return impl_->LockStateBytes(); }
   std::size_t combining_budget() const { return impl_->CombiningBudget(); }
   locktable::CombiningStatsSummary combining_summary() const {
     return impl_->CombiningSummary();
@@ -434,41 +407,13 @@ class ShardedCombiner {
   double combined_share() const {
     return impl_->CombiningSummary().CombinedShare();
   }
-  std::string name() const { return impl_->Name(); }
-
- private:
-  std::unique_ptr<AnyCombiningTable> impl_;
-};
-
-// User-facing reader-writer mutex over the real platform.  Satisfies the C++
-// SharedLockable requirements, so std::shared_lock / std::unique_lock work
-// directly on it.
-class SharedMutex {
- public:
-  explicit SharedMutex(RwLockKind kind);
-  // Throws std::invalid_argument on an unknown rwlock name.
-  explicit SharedMutex(std::string_view name);
-
-  void lock() { impl_->Lock(); }
-  bool try_lock() { return impl_->TryLock(); }
-  void unlock() { impl_->Unlock(); }
-
-  void lock_shared() { impl_->LockShared(); }
-  bool try_lock_shared() { return impl_->TryLockShared(); }
-  void unlock_shared() { impl_->UnlockShared(); }
-
-  std::size_t state_bytes() const { return impl_->StateBytes(); }
-  std::string name() const { return impl_->Name(); }
-
- private:
-  std::unique_ptr<AnyRwLock> impl_;
 };
 
 // User-facing sharded read-write namespace over the real platform: the keyed
 // counterpart of SharedMutex.  lock_shared(key) admits concurrent readers of
 // one stripe; lock(key) is exclusive; lock_many() takes several keys
 // exclusively in deadlock-free order.
-class ShardedSharedMutex {
+class ShardedSharedMutex : public BasicSharded<AnyRwLockTable> {
  public:
   ShardedSharedMutex(RwLockKind kind, std::size_t stripes);
   // Throws std::invalid_argument on an unknown rwlock name.
@@ -490,16 +435,6 @@ class ShardedSharedMutex {
   void unlock_many(std::initializer_list<std::uint64_t> keys) {
     impl_->UnlockMany(keys.begin(), keys.size());
   }
-
-  std::size_t stripes() const { return impl_->Stripes(); }
-  std::size_t stripe_of(std::uint64_t key) const {
-    return impl_->StripeOf(key);
-  }
-  std::size_t lock_state_bytes() const { return impl_->LockStateBytes(); }
-  std::string name() const { return impl_->Name(); }
-
- private:
-  std::unique_ptr<AnyRwLockTable> impl_;
 };
 
 }  // namespace cna::core

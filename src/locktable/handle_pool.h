@@ -33,11 +33,12 @@
 // on the destruction-requires-quiescence contract, and the retire is
 // merely deferred freeing.
 //
-// Unlike core::LockAdapter's strictly LIFO stacks, a lock table permits
-// out-of-order release across stripes (Unlock(key) in any order, and
-// UnlockStripesN releases in reverse stripe order, which need not be reverse
-// acquisition order), so active handles are tagged with their stripe and
-// looked up newest-first on release.
+// A lock table permits out-of-order release across stripes (Unlock(key) in
+// any order, and UnlockStripesN releases in reverse stripe order, which need
+// not be reverse acquisition order), so active handles are tagged with their
+// stripe and looked up newest-first on release.  Unlike core::LockAdapter's
+// per-OS-thread handle list, the pool is indexed by P::CpuId(), so it serves
+// simulator fibers too.
 #ifndef CNA_LOCKTABLE_HANDLE_POOL_H_
 #define CNA_LOCKTABLE_HANDLE_POOL_H_
 
@@ -71,8 +72,8 @@ class HandlePool {
  public:
   using Handle = typename L::Handle;
 
-  // Slots per pool.  Matches core::LockAdapter::kMaxContexts and comfortably
-  // covers the simulator's 192 CPUs.
+  // Slots per pool; covers the simulator's sim::Machine::kMaxSimCpus (256)
+  // with room to spare.
   static constexpr std::size_t kMaxContexts = 1024;
 
   // Handles per slab: one slab refill amortizes the arena lock over this

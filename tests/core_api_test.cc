@@ -2,6 +2,7 @@
 // pthread-style C API.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <mutex>
@@ -12,8 +13,10 @@
 #include "core/pthread_api.h"
 #include "core/registry.h"
 #include "locks/cna.h"
+#include "locks/cna_rwlock.h"
 #include "platform/thread_context.h"
 #include "platform/real_platform.h"
+#include "sim/sim_platform.h"
 
 namespace cna {
 namespace {
@@ -287,6 +290,126 @@ TEST(LockAdapter, FailedTryLockReturnsHandleToPool) {
   adapter.Unlock();
   ASSERT_TRUE(adapter.TryLock());
   adapter.Unlock();
+}
+
+// Held handles are kept per OS thread, which is exact only for real threads
+// (simulator fibers share one), so the adapters do not instantiate over the
+// simulator platform.
+template <typename P>
+concept ErasableOn =
+    requires { typename core::LockAdapter<P, locks::CnaLock<P>>; };
+static_assert(ErasableOn<RealPlatform>);
+static_assert(!ErasableOn<SimPlatform>);
+
+// An adapter is its lock plus a name and a lockdep class; held handles live
+// with the thread that holds them, not in per-thread slots of every lock.
+// The per-socket CnaRwLock's own reader indicator is 32 cache lines, so for
+// it the bound is on what the adapter adds.
+TEST(LockAdapter, FootprintIsTheLockPlusAName) {
+  using Cna = locks::CnaLock<RealPlatform>;
+  using CnaRw = locks::CnaRwLock<RealPlatform>;
+  using CnaRwCompact =
+      locks::CnaRwLock<RealPlatform, locks::CnaRwCompactConfig>;
+  EXPECT_LE(sizeof(core::LockAdapter<RealPlatform, Cna>), 256u);
+  EXPECT_LE(sizeof(core::RwLockAdapter<RealPlatform, CnaRwCompact>), 256u);
+  EXPECT_LE(sizeof(core::RwLockAdapter<RealPlatform, CnaRw>) - sizeof(CnaRw),
+            256u);
+}
+
+// Thread ids are never reused, and held handles were once kept in per-lock
+// slots indexed by thread id modulo 1024, so a thread-churning process could
+// map a newcomer onto a live holder's slot, where its unlock released the
+// holder's lock.  Unlock from any thread that does not hold the lock must
+// fail, aliased id or not, and leave the holder holding.
+TEST(LockAdapter, UnlockByAThreadWithAnAliasedIdFails) {
+  constexpr int kOldSlots = 1024;
+  core::Mutex mutex(core::LockKind::kCna);
+  core::SharedMutex shared(core::RwLockKind::kCnaRw);
+  cna_mutex_t* c_mutex = cna_mutex_create("cna");
+  cna_rwlock_t* c_rwlock = cna_rwlock_create("cna-rw");
+  ASSERT_NE(c_mutex, nullptr);
+  ASSERT_NE(c_rwlock, nullptr);
+
+  std::atomic<int> holder_id{-1};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    mutex.lock();
+    shared.lock();
+    EXPECT_EQ(cna_mutex_lock(c_mutex), 0);
+    EXPECT_EQ(cna_rwlock_wrlock(c_rwlock), 0);
+    holder_id.store(platform::ThreadContext::Current().ThreadId());
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+    EXPECT_NO_THROW(mutex.unlock());
+    EXPECT_NO_THROW(shared.unlock());
+    EXPECT_EQ(cna_mutex_unlock(c_mutex), 0);
+    EXPECT_EQ(cna_rwlock_unlock(c_rwlock), 0);
+  });
+  while (holder_id.load() < 0) {
+    std::this_thread::yield();
+  }
+
+  // Short-lived threads, one alive at a time, until one shares the holder's
+  // id modulo the old slot count.
+  bool found = false;
+  bool mutex_threw = false;
+  bool shared_threw = false;
+  int c_mutex_rc = 0;
+  int c_rwlock_rc = 0;
+  while (!found) {
+    std::thread t([&] {
+      if (platform::ThreadContext::Current().ThreadId() % kOldSlots !=
+          holder_id.load() % kOldSlots) {
+        return;
+      }
+      found = true;
+      try {
+        mutex.unlock();
+      } catch (const std::logic_error&) {
+        mutex_threw = true;
+      }
+      try {
+        shared.unlock();
+      } catch (const std::logic_error&) {
+        shared_threw = true;
+      }
+      c_mutex_rc = cna_mutex_unlock(c_mutex);
+      c_rwlock_rc = cna_rwlock_unlock(c_rwlock);
+    });
+    t.join();
+  }
+  EXPECT_TRUE(mutex_threw);
+  EXPECT_TRUE(shared_threw);
+  EXPECT_EQ(c_mutex_rc, EPERM);
+  EXPECT_EQ(c_rwlock_rc, EPERM);
+
+  std::thread probe([&] {
+    if (mutex.try_lock()) {
+      ADD_FAILURE() << "core::Mutex was released by a non-holder";
+      mutex.unlock();
+    }
+    if (shared.try_lock()) {
+      ADD_FAILURE() << "core::SharedMutex was released by a non-holder";
+      shared.unlock();
+    }
+    const int mutex_rc = cna_mutex_trylock(c_mutex);
+    EXPECT_EQ(mutex_rc, EBUSY);
+    if (mutex_rc == 0) {
+      cna_mutex_unlock(c_mutex);
+    }
+    const int rwlock_rc = cna_rwlock_trywrlock(c_rwlock);
+    EXPECT_EQ(rwlock_rc, EBUSY);
+    if (rwlock_rc == 0) {
+      cna_rwlock_unlock(c_rwlock);
+    }
+  });
+  probe.join();
+
+  release.store(true);
+  holder.join();
+  cna_rwlock_destroy(c_rwlock);
+  cna_mutex_destroy(c_mutex);
 }
 
 }  // namespace

@@ -546,6 +546,36 @@ TEST_F(LockdepTest, CApiReportsSeededInversion) {
   cna_mutex_destroy(mcs_mu);
 }
 
+// Rwlocks carry the same hooks as mutexes (class "rwlock/<name>"): an AB/BA
+// order between a mutex and a write-locked rwlock is one inversion.
+TEST_F(LockdepTest, CApiRwlockJoinsTheOrderGraph) {
+  cna_mutex_t* mu = cna_mutex_create("cna");
+  cna_rwlock_t* rw = cna_rwlock_create("cna-rw");
+  ASSERT_NE(mu, nullptr);
+  ASSERT_NE(rw, nullptr);
+
+  ASSERT_EQ(cna_mutex_lock(mu), 0);
+  ASSERT_EQ(cna_rwlock_wrlock(rw), 0);
+  ASSERT_EQ(cna_rwlock_unlock(rw), 0);
+  ASSERT_EQ(cna_mutex_unlock(mu), 0);
+  EXPECT_EQ(cna_lockdep_inversions(), 0u);
+
+  ASSERT_EQ(cna_rwlock_wrlock(rw), 0);
+  ASSERT_EQ(cna_mutex_lock(mu), 0);
+  ASSERT_EQ(cna_mutex_unlock(mu), 0);
+  ASSERT_EQ(cna_rwlock_unlock(rw), 0);
+  EXPECT_EQ(cna_lockdep_inversions(), 1u);
+
+  char* report = cna_lockdep_report();
+  ASSERT_NE(report, nullptr);
+  EXPECT_NE(std::string(report).find("rwlock/cna-rw"), std::string::npos)
+      << report;
+  cna_telemetry_free(report);
+
+  cna_rwlock_destroy(rw);
+  cna_mutex_destroy(mu);
+}
+
 // With tracking disabled, every hook is one relaxed load and nothing is
 // recorded (and with -DCNA_LOCKDEP=0 the stubs return the same nothing).
 TEST_F(LockdepTest, DisabledHooksRecordNothing) {
