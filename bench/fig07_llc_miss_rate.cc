@@ -11,6 +11,13 @@ int main() {
   using namespace cna;
   using namespace cna::bench;
 
+  const auto threads = TwoSocketThreads();
+  const auto window = DefaultWindowNs();
+  harness::SetBenchInfo(
+      "fig07_llc_miss_rate",
+      "threads_max=" + std::to_string(threads.back()) +
+          " window_ns=" + std::to_string(window) + " key_range=1024");
+
   apps::KvBenchOptions kv;
   kv.key_range = 1024;
   kv.update_pct = 20;
@@ -18,8 +25,8 @@ int main() {
   KvSweepTable(
       "Figure 7: remote-miss rate (fraction of memory accesses), 2-socket, "
       "Figure 6 workload",
-      sim::MachineConfig::TwoSocket(), TwoSocketThreads(), DefaultWindowNs(),
-      kv, Metric::kRemoteMissRate)
+      sim::MachineConfig::TwoSocket(), threads, window, kv,
+      Metric::kRemoteMissRate)
       .Emit();
   return 0;
 }

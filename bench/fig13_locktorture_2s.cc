@@ -16,6 +16,10 @@ int main() {
   const auto machine = sim::MachineConfig::TwoSocket();
   const auto threads = TwoSocketThreads();
   const auto window = DefaultWindowNs();
+  harness::SetBenchInfo(
+      "fig13_locktorture_2s",
+      "threads_max=" + std::to_string(threads.back()) +
+          " window_ns=" + std::to_string(window));
 
   LockTortureSweep(
       "Figure 13(a): locktorture total lock ops (ops/us), 2-socket, lockstat "

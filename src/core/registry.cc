@@ -23,8 +23,6 @@ constexpr KindInfo<LockKind> kLockKinds[] = {
      "Compact NUMA-aware lock (Dice & Kogan, EuroSys 2019)", true},
     {LockKind::kCnaOpt, "cna-opt",
      "CNA with shuffle-reduction optimization (Section 6)", true},
-    {LockKind::kCnaTagged, "cna-tag",
-     "CNA with socket encoded in next pointers (Section 6)", true},
     {LockKind::kTas, "tas", "test-and-set spin lock, global spinning"},
     {LockKind::kTtas, "ttas", "test-and-test-and-set spin lock"},
     {LockKind::kBackoffTas, "tas-backoff",

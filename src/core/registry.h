@@ -34,7 +34,6 @@ enum class LockKind {
   kMcs,
   kCna,
   kCnaOpt,     // CNA with the Section 6 shuffle-reduction optimization
-  kCnaTagged,  // CNA with the Section 6 socket-in-next-pointer encoding
   kTas,
   kTtas,
   kBackoffTas,
@@ -79,8 +78,6 @@ decltype(auto) WithLockType(LockKind kind, F&& f) {
       return f(std::type_identity<CnaLock<P>>{});
     case LockKind::kCnaOpt:
       return f(std::type_identity<CnaLock<P, CnaShuffleReductionConfig>>{});
-    case LockKind::kCnaTagged:
-      return f(std::type_identity<CnaLock<P, CnaSocketInNextConfig>>{});
     case LockKind::kTas:
       return f(std::type_identity<TasLock<P>>{});
     case LockKind::kTtas:

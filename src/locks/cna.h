@@ -8,19 +8,15 @@
 // instruction (SWAP), yet it is NUMA-aware: on unlock, the holder looks for
 // the first waiter running on its own socket, moves the "remote" waiters
 // crossed on the way into a *secondary queue*, and hands the lock over
-// locally.  The secondary queue is threaded through the waiters' own nodes:
-//   * a node's `spin` field is 0 while waiting; on handover it receives
-//     either 1 ("you hold the lock, the secondary queue is empty") or a
-//     pointer to the secondary queue's head ("you hold the lock and inherit
-//     this secondary queue") -- Section 4's trick of reusing the spin field
-//     so the lock itself stays one word;
-//   * the secondary head's `sec_tail` field caches the secondary tail so
-//     appending segments and re-splicing are O(1).
-// Long-term fairness: with low probability (keep_lock_local() == 0, i.e.
-// rand & kKeepLocalMask == 0) the holder flushes the secondary queue back
-// into the main queue ahead of its successor, so remote waiters cannot
-// starve.  The secondary queue is also flushed when no same-socket successor
-// exists (Figure 1(g)).
+// locally.  The secondary queue is threaded through the waiters' own nodes
+// (locks/cna_queue.h): the handover passes its head in the successor's `spin`
+// field -- Section 4's trick that keeps the lock one word -- and the head's
+// `sec_tail` caches its tail.  With low probability (keep_lock_local() == 0)
+// the holder flushes the secondary queue ahead of its successor, so remote
+// waiters cannot starve; it is also flushed when no same-socket successor
+// exists (Figure 1(g)).  Queue links always carry the waiter's socket in
+// their low bits (Section 6), so the release classifies its successor without
+// missing on the successor's node; the lock word itself is never tagged.
 //
 // Configuration is a compile-time policy so that the lock object itself stays
 // exactly one word -- asserting the paper's headline space claim in the type
@@ -33,13 +29,16 @@
 #include <cstdint>
 
 #include "base/cacheline.h"
+#include "locks/cna_queue.h"
 #include "locks/cna_stats.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace cna::locks {
 
-// Default configuration: the paper's constants.
+// Default configuration: the paper's constants.  Section 6's socket-in-next
+// encoding is not a knob: it picks the same successors as an untagged queue
+// for one miss less per handover, so every configuration has it.
 struct CnaDefaultConfig {
   // THRESHOLD (Figure 5): keep_lock_local() == rand & mask; the secondary
   // queue is flushed with probability 1/65536 per handover.
@@ -55,11 +54,6 @@ struct CnaDefaultConfig {
   // thread-local counter and decrement per handover instead of drawing per
   // handover.  Off by default (paper leaves it as an engineering tweak).
   static constexpr bool kCounterFairness = false;
-  // Section 6, first optimization: "encode the socket of a thread in the
-  // next pointer of its predecessor" -- queue nodes are cache-line aligned,
-  // so the low 6 pointer bits carry socket+1 and find_successor() can skip
-  // the cache miss on the successor's node when deciding locality.
-  static constexpr bool kEncodeSocketInNext = false;
   // Update locks::GlobalCnaCounters() on every release (Section 7.1.1's
   // queue-alteration statistics).  Off by default: zero instrumentation.
   static constexpr bool kCollectStats = false;
@@ -73,11 +67,6 @@ struct CnaDefaultConfig {
 // "CNA (opt)" of Section 7.1.1: shuffle reduction enabled.
 struct CnaShuffleReductionConfig : CnaDefaultConfig {
   static constexpr bool kShuffleReduction = true;
-};
-
-// Section 6's pointer-tagging optimization enabled.
-struct CnaSocketInNextConfig : CnaDefaultConfig {
-  static constexpr bool kEncodeSocketInNext = true;
 };
 
 // Fully observable build: Section 7.1.1 counters plus wait-time histograms
@@ -101,6 +90,7 @@ class CnaLock {
     typename P::template Atomic<std::uintptr_t> spin{0};
     typename P::template Atomic<int> socket{-1};
     typename P::template Atomic<Handle*> sec_tail{nullptr};
+    // Socket-tagged link to the successor (locks/cna_queue.h).
     typename P::template Atomic<Handle*> next{nullptr};
   };
 
@@ -127,7 +117,8 @@ class CnaLock {
     }
     const int my_socket = P::CurrentSocket();
     me.socket.store(my_socket, std::memory_order_relaxed);
-    tail->next.store(Tagged(&me, my_socket), std::memory_order_release);
+    tail->next.store(cna_queue::Tagged(&me, my_socket),
+                     std::memory_order_release);
     if constexpr (Cfg::kTelemetry) {
       if (telemetry::Enabled()) {
         const std::uint64_t t0 = telemetry::NowNs();
@@ -164,16 +155,16 @@ class CnaLock {
   // once into `spin` and kept in sync (a real implementation keeps it in a
   // register; the simulator would otherwise charge every re-read).
   void Unlock(Handle& me) {
-    Handle* next_raw = me.next.load(std::memory_order_acquire);
+    Handle* next = me.next.load(std::memory_order_acquire);  // tagged link
     std::uintptr_t spin = me.spin.load(std::memory_order_relaxed);
-    if (Ptr(next_raw) == nullptr) {
+    if (next == nullptr) {
       // No successor visible in the main queue.
       if (spin == 1) {
         // Secondary queue empty too: try to return the lock to "free".
         Handle* expected = &me;
         if (tail_.compare_exchange_strong(expected, nullptr,
                                           std::memory_order_acq_rel)) {
-          CountRelease();
+          Count<&CnaEventCounters::releases>();
           return;
         }
       } else {
@@ -186,16 +177,15 @@ class CnaLock {
                 expected, sec_head->sec_tail.load(std::memory_order_relaxed),
                 std::memory_order_acq_rel)) {
           sec_head->spin.store(1, std::memory_order_release);
-          CountRelease();
-          CountFlush();
+          Count<&CnaEventCounters::releases>();
+          Count<&CnaEventCounters::secondary_flushes>();
           TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
           return;
         }
       }
       // A new waiter swapped itself in between our check and the CAS; wait
       // for it to link itself behind us.
-      while (Ptr(next_raw = me.next.load(std::memory_order_acquire)) ==
-             nullptr) {
+      while ((next = me.next.load(std::memory_order_acquire)) == nullptr) {
         P::Pause();
       }
     }
@@ -205,14 +195,10 @@ class CnaLock {
       // hand over FIFO -- under light contention the shuffling cost is not
       // repaid by locality (Section 6 / Figure 9's "CNA (opt)").
       if (spin == 1 && (P::Random() & Cfg::kShuffleMask) != 0) {
-        Ptr(next_raw)->spin.store(1, std::memory_order_release);
-        CountRelease();
-        if constexpr (Cfg::kCollectStats) {
-          GlobalCnaCounters().shuffle_skips.fetch_add(
-              1, std::memory_order_relaxed);
-          GlobalCnaCounters().fifo_handovers.fetch_add(
-              1, std::memory_order_relaxed);
-        }
+        cna_queue::Ptr(next)->spin.store(1, std::memory_order_release);
+        Count<&CnaEventCounters::releases>();
+        Count<&CnaEventCounters::shuffle_skips>();
+        Count<&CnaEventCounters::fifo_handovers>();
         TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
         return;
       }
@@ -220,92 +206,39 @@ class CnaLock {
 
     Handle* succ = nullptr;
     if (KeepLockLocal() &&
-        (succ = FindSuccessor(me, next_raw, spin)) != nullptr) {
+        (succ = FindSuccessor(me, next, spin)) != nullptr) {
       // Same-socket successor found: pass the lock together with the current
       // secondary-queue designator (1 or head pointer) -- Figure 1(b)/(d).
       succ->spin.store(spin, std::memory_order_release);
-      if constexpr (Cfg::kCollectStats) {
-        GlobalCnaCounters().local_handovers.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      Count<&CnaEventCounters::local_handovers>();
       TraceHandoff(telemetry::TraceEventType::kHandoffLocal);
     } else if (spin > 1) {
       // Fairness flush (or no local successor): splice the secondary queue in
       // front of our main-queue successor and hand the lock to its head --
-      // Figure 1(g).  succ->sec_tail need not be cleared: the head is about
-      // to own the lock and will never read it (paper, end of Section 5).
-      // The raw (possibly socket-tagged) next value is spliced verbatim so
-      // the tag survives for later traversals.
-      succ = reinterpret_cast<Handle*>(spin);
-      succ->sec_tail.load(std::memory_order_relaxed)
-          ->next.store(next_raw, std::memory_order_relaxed);
-      succ->spin.store(1, std::memory_order_release);
-      CountFlush();
+      // Figure 1(g).
+      cna_queue::SpliceSecondary(spin, next)
+          ->spin.store(1, std::memory_order_release);
+      Count<&CnaEventCounters::secondary_flushes>();
       TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
     } else {
       // Secondary queue empty: plain MCS handover.
-      Ptr(next_raw)->spin.store(1, std::memory_order_release);
-      if constexpr (Cfg::kCollectStats) {
-        GlobalCnaCounters().fifo_handovers.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      cna_queue::Ptr(next)->spin.store(1, std::memory_order_release);
+      Count<&CnaEventCounters::fifo_handovers>();
       TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
     }
-    CountRelease();
+    Count<&CnaEventCounters::releases>();
   }
 
   bool HasQueuedWaiters(const Handle& me) const {
-    return Ptr(me.next.load(std::memory_order_acquire)) != nullptr;
+    return me.next.load(std::memory_order_acquire) != nullptr;
   }
 
  private:
-  // --- Socket-in-next-pointer tagging (Section 6, first optimization). ---
-  // Handles are 64-byte aligned, so the low 6 bits of a next pointer are
-  // free; they carry socket+1 (0 = no tag, fall back to the socket field).
-  static constexpr std::uintptr_t kSocketTagMask = kCacheLineSize - 1;
-
-  static Handle* Tagged(Handle* n, int socket) {
-    if constexpr (Cfg::kEncodeSocketInNext) {
-      const auto tag = static_cast<std::uintptr_t>(socket + 1);
-      if (tag <= kSocketTagMask) {
-        return reinterpret_cast<Handle*>(reinterpret_cast<std::uintptr_t>(n) |
-                                         tag);
-      }
-    }
-    return n;
-  }
-
-  static Handle* Ptr(Handle* raw) {
-    if constexpr (Cfg::kEncodeSocketInNext) {
-      return reinterpret_cast<Handle*>(reinterpret_cast<std::uintptr_t>(raw) &
-                                       ~kSocketTagMask);
-    } else {
-      return raw;
-    }
-  }
-
-  // Socket of the node `node`, preferring the tag carried by the raw next
-  // value that led to it (avoids touching the node's cache line).
-  static int SocketOf(Handle* raw, Handle* node) {
-    if constexpr (Cfg::kEncodeSocketInNext) {
-      const auto tag = reinterpret_cast<std::uintptr_t>(raw) & kSocketTagMask;
-      if (tag != 0) {
-        return static_cast<int>(tag) - 1;
-      }
-    }
-    return node->socket.load(std::memory_order_acquire);
-  }
-
-  void CountRelease() {
+  // Section 7.1.1 event counter; compiles to nothing unless kCollectStats.
+  template <std::atomic<std::uint64_t> CnaEventCounters::*kCounter>
+  static void Count(std::uint64_t n = 1) {
     if constexpr (Cfg::kCollectStats) {
-      GlobalCnaCounters().releases.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void CountFlush() {
-    if constexpr (Cfg::kCollectStats) {
-      GlobalCnaCounters().secondary_flushes.fetch_add(
-          1, std::memory_order_relaxed);
+      (GlobalCnaCounters().*kCounter).fetch_add(n, std::memory_order_relaxed);
     }
   }
 
@@ -321,58 +254,16 @@ class CnaLock {
     }
   }
 
-  // Figure 5's find_successor(): walk the main queue looking for the first
-  // waiter on our socket; move everything crossed on the way into the
-  // secondary queue (appending to it if it already exists).  `next_raw` is
-  // the (possibly tagged) value read from me.next; `spin` is the caller's
-  // cached copy of me.spin and is updated in place when the secondary queue
-  // is created here.
-  Handle* FindSuccessor(Handle& me, Handle* next_raw, std::uintptr_t& spin) {
-    Handle* next = Ptr(next_raw);
-    int my_socket = me.socket.load(std::memory_order_relaxed);
-    if (my_socket == -1) {
-      // We acquired the lock uncontended and never recorded our socket.
-      my_socket = P::CurrentSocket();
+  // Figure 5's find_successor() (locks/cna_queue.h), plus the Section 7.1.1
+  // accounting of the waiters it moved to the secondary queue.
+  Handle* FindSuccessor(Handle& me, Handle* next, std::uintptr_t& spin) {
+    const auto found = cna_queue::FindSuccessor<P>(me, next, spin);
+    if (found.moved != 0) {
+      Count<&CnaEventCounters::queue_alterations>();
+      Count<&CnaEventCounters::waiters_moved>(found.moved);
+      TraceHandoff(telemetry::TraceEventType::kSecondaryMove, found.moved);
     }
-    if (SocketOf(next_raw, next) == my_socket) {
-      return next;  // immediate successor is local: nothing to move
-    }
-    Handle* sec_head = next;
-    Handle* sec_tail = next;
-    std::uint64_t segment_len = 1;
-    Handle* cur_raw = next->next.load(std::memory_order_acquire);
-    while (Ptr(cur_raw) != nullptr) {
-      Handle* cur = Ptr(cur_raw);
-      if (SocketOf(cur_raw, cur) == my_socket) {
-        // Move [sec_head .. sec_tail] into the secondary queue.
-        if (spin > 1) {
-          // Append segment behind the existing secondary tail (untagged:
-          // secondary nodes keep their socket in the socket field).
-          reinterpret_cast<Handle*>(spin)
-              ->sec_tail.load(std::memory_order_relaxed)
-              ->next.store(sec_head, std::memory_order_relaxed);
-        } else {
-          // Secondary queue was empty: the segment head becomes its head.
-          spin = reinterpret_cast<std::uintptr_t>(sec_head);
-          me.spin.store(spin, std::memory_order_relaxed);
-        }
-        sec_tail->next.store(nullptr, std::memory_order_relaxed);
-        reinterpret_cast<Handle*>(spin)->sec_tail.store(
-            sec_tail, std::memory_order_relaxed);
-        if constexpr (Cfg::kCollectStats) {
-          GlobalCnaCounters().queue_alterations.fetch_add(
-              1, std::memory_order_relaxed);
-          GlobalCnaCounters().waiters_moved.fetch_add(
-              segment_len, std::memory_order_relaxed);
-        }
-        TraceHandoff(telemetry::TraceEventType::kSecondaryMove, segment_len);
-        return cur;
-      }
-      sec_tail = cur;
-      ++segment_len;
-      cur_raw = cur->next.load(std::memory_order_acquire);
-    }
-    return nullptr;  // no same-socket waiter linked in yet
+    return found.node;
   }
 
   // Figure 5's keep_lock_local(), optionally with the Section 6 deferred-draw

@@ -16,7 +16,9 @@
 // integration replaces only this headship handover: instead of waking the
 // FIFO successor, it applies CNA's same-socket successor search and secondary
 // queue (the paper: "we modified the slow path acquisition function ... to
-// use CNA instead of MCS", leaving unlock and the fast path intact).
+// use CNA instead of MCS", leaving unlock and the fast path intact).  The CNA
+// queue is locks/cna_queue.h, the same socket-tagged queue CnaLock uses; the
+// stock MCS slow path links its nodes untagged.
 //
 // Unlock is a single store clearing the locked byte -- "the release of the
 // spin lock does not involve queue nodes".
@@ -28,6 +30,7 @@
 #include <cstdint>
 
 #include "base/cacheline.h"
+#include "locks/cna_queue.h"
 #include "qspin/qspin_word.h"
 
 namespace cna::qspin {
@@ -202,11 +205,14 @@ class QSpinLock {
     const std::uint32_t old = ExchangeTail(me->tail_code);
     if (HasTail(old)) {
       // Predecessor exists: link in and wait for queue headship.
+      QNode* link = me;
       if constexpr (kKind == SlowPathKind::kCna) {
-        me->socket.store(P::CurrentSocket(), std::memory_order_relaxed);
+        const int socket = P::CurrentSocket();
+        me->socket.store(socket, std::memory_order_relaxed);
+        link = locks::cna_queue::Tagged(me, socket);
       }
       QNode* prev = Nodes::Decode(old & kTailMask);
-      prev->next.store(me, std::memory_order_release);
+      prev->next.store(link, std::memory_order_release);
       if constexpr (Cfg::kParkWaiters) {
         WaitForHeadship(me);
       } else {
@@ -264,27 +270,25 @@ class QSpinLock {
     --pc.depth;
   }
 
-  // Hand queue-headship from `me` to a successor.  MCS: FIFO.  CNA: prefer a
-  // same-socket waiter, shuffling skipped remote waiters into the secondary
-  // queue; occasionally (or when no local waiter exists) flush the secondary
-  // queue back ahead of `next` for long-term fairness.
+  // Hand queue-headship from `me` to the successor `next` links to.  MCS:
+  // FIFO.  CNA: prefer a same-socket waiter, shuffling skipped remote waiters
+  // into the secondary queue; occasionally (or when no local waiter exists)
+  // flush the secondary queue back ahead of `next` for long-term fairness.
   void PassHeadship(QNode* me, QNode* next) {
     if constexpr (kKind == SlowPathKind::kMcs) {
       GrantHeadship(next, 1);
       return;
     } else {
+      namespace queue = locks::cna_queue;
       std::uintptr_t spin = me->spin.load(std::memory_order_relaxed);
       QNode* succ = nullptr;
       if (KeepLockLocal() &&
-          (succ = FindSuccessor(me, next, spin)) != nullptr) {
+          (succ = queue::FindSuccessor<P>(*me, next, spin).node) != nullptr) {
         GrantHeadship(succ, spin);
       } else if (spin > 1) {
-        succ = reinterpret_cast<QNode*>(spin);
-        succ->sec_tail.load(std::memory_order_relaxed)
-            ->next.store(next, std::memory_order_relaxed);
-        GrantHeadship(succ, 1);
+        GrantHeadship(queue::SpliceSecondary(spin, next), 1);
       } else {
-        GrantHeadship(next, 1);
+        GrantHeadship(queue::Ptr(next), 1);
       }
     }
   }
@@ -328,38 +332,6 @@ class QSpinLock {
         return;
       }
     }
-  }
-
-  QNode* FindSuccessor(QNode* me, QNode* next, std::uintptr_t& spin) {
-    int my_socket = me->socket.load(std::memory_order_relaxed);
-    if (my_socket == -1) {
-      my_socket = P::CurrentSocket();
-    }
-    if (next->socket.load(std::memory_order_acquire) == my_socket) {
-      return next;
-    }
-    QNode* sec_head = next;
-    QNode* sec_tail = next;
-    QNode* cur = next->next.load(std::memory_order_acquire);
-    while (cur != nullptr) {
-      if (cur->socket.load(std::memory_order_acquire) == my_socket) {
-        if (spin > 1) {
-          reinterpret_cast<QNode*>(spin)
-              ->sec_tail.load(std::memory_order_relaxed)
-              ->next.store(sec_head, std::memory_order_relaxed);
-        } else {
-          spin = reinterpret_cast<std::uintptr_t>(sec_head);
-          me->spin.store(spin, std::memory_order_relaxed);
-        }
-        sec_tail->next.store(nullptr, std::memory_order_relaxed);
-        reinterpret_cast<QNode*>(spin)->sec_tail.store(
-            sec_tail, std::memory_order_relaxed);
-        return cur;
-      }
-      sec_tail = cur;
-      cur = cur->next.load(std::memory_order_acquire);
-    }
-    return nullptr;
   }
 
   bool KeepLockLocal() { return (P::Random() & Cfg::kKeepLocalMask) != 0; }

@@ -213,7 +213,6 @@ class Histogram {
     Shard& cell = cells_[CellIndex(socket, shard)];
     cell.buckets[static_cast<std::size_t>(BucketOf(value))].fetch_add(
         1, std::memory_order_relaxed);
-    cell.count.fetch_add(1, std::memory_order_relaxed);
     cell.sum.fetch_add(value, std::memory_order_relaxed);
   }
 
@@ -225,6 +224,9 @@ class Histogram {
     return out;
   }
 
+  // `count` is the sum of the buckets read, not a separate cell: a snapshot
+  // taken while values are being recorded stays self-consistent, so a
+  // percentile always lands in a bucket that holds a recorded value.
   HistogramSnapshot SocketSnapshot(int socket) const {
     HistogramSnapshot out;
     const std::size_t base =
@@ -232,11 +234,11 @@ class Histogram {
     for (int sub = 0; sub < kHistSubShards; ++sub) {
       const Shard& cell = cells_[base + static_cast<std::size_t>(sub)];
       for (int i = 0; i < kHistBuckets; ++i) {
-        out.buckets[static_cast<std::size_t>(i)] +=
-            cell.buckets[static_cast<std::size_t>(i)].load(
-                std::memory_order_relaxed);
+        const std::uint64_t n = cell.buckets[static_cast<std::size_t>(i)].load(
+            std::memory_order_relaxed);
+        out.buckets[static_cast<std::size_t>(i)] += n;
+        out.count += n;
       }
-      out.count += cell.count.load(std::memory_order_relaxed);
       out.sum += cell.sum.load(std::memory_order_relaxed);
     }
     return out;
@@ -247,7 +249,6 @@ class Histogram {
       for (auto& b : cell.buckets) {
         b.store(0, std::memory_order_relaxed);
       }
-      cell.count.store(0, std::memory_order_relaxed);
       cell.sum.store(0, std::memory_order_relaxed);
     }
   }
@@ -255,7 +256,6 @@ class Histogram {
  private:
   struct alignas(64) Shard {
     std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
   };
 

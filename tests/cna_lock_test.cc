@@ -10,10 +10,12 @@
 #include <vector>
 
 #include "locks/cna.h"
+#include "locks/cna_queue.h"
 #include "locks/lock_api.h"
 #include "locks/mcs.h"
 #include "locks/mcscr.h"
 #include "platform/real_platform.h"
+#include "qspin/qspinlock.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
 
@@ -320,63 +322,120 @@ TEST(CnaFairness, AllThreadsFinishWithDefaultThreshold) {
 }
 
 
-// ---------- Section 6 socket-in-next-pointer encoding ----------
+// ---------- Section 6 socket-tagged queue links (locks/cna_queue.h) ----------
 
-using TaggedCna = locks::CnaLock<SimPlatform, locks::CnaSocketInNextConfig>;
-
-TEST(CnaTagged, SameReorderingAsBaseCna) {
-  // The tagged variant must make identical policy decisions -- replay the
-  // Figure 1 scenario and expect the same order as the base lock.
+// Releases classify waiters from their tagged links, not from the waiters'
+// nodes.  Pinned exactly: the Figure 1 scenario costs 80 simulated loads.
+TEST(CnaTagged, Figure1ScenarioLoadCount) {
   sim::Machine m(TwoSocketSmall());
-  TaggedCna lock;
-  std::vector<int> order;
+  SimCna lock;
   for (int t = 0; t < 6; ++t) {
     m.Spawn([&, t] {
       sim::Machine::Active()->AdvanceLocalWork(
           static_cast<std::uint64_t>(t) * 400 + 1);
-      TaggedCna::Handle h;
+      SimCna::Handle h;
       lock.Lock(h);
       if (t == 0) {
         sim::Machine::Active()->AdvanceLocalWork(200'000);
       }
-      order.push_back(t);
       lock.Unlock(h);
     });
   }
   m.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3, 5}));
+  EXPECT_EQ(m.TotalStats().loads, 80u);
 }
 
-TEST(CnaTagged, StillOneWordOfState) {
-  EXPECT_EQ(sizeof(TaggedCna), sizeof(void*));
+// The queue module on both node types it serves: CnaLock's handle and the
+// qspinlock's per-CPU node.
+template <typename Node>
+class CnaQueueTest : public ::testing::Test {};
+using CnaQueueNodes =
+    ::testing::Types<locks::CnaLock<RealPlatform>::Handle,
+                     qspin::QSpinNodes<RealPlatform>::QNode>;
+TYPED_TEST_SUITE(CnaQueueTest, CnaQueueNodes);
+
+TYPED_TEST(CnaQueueTest, TagRoundTripsSocketsThatFit) {
+  namespace queue = locks::cna_queue;
+  TypeParam n;
+  n.socket.store(99);  // proves SocketOf reads the tag, not the node
+  for (int socket = 0; socket <= 62; ++socket) {
+    TypeParam* link = queue::Tagged(&n, socket);
+    EXPECT_NE(link, &n) << socket;
+    EXPECT_EQ(queue::Ptr(link), &n) << socket;
+    EXPECT_EQ(queue::SocketOf(link), socket);
+  }
 }
 
-TEST(CnaTagged, AvoidsSuccessorNodeTouchOnLocalityCheck) {
-  // With tagging, find_successor can classify the immediate successor from
-  // the pointer tag alone: fewer loads than the untagged variant on the
-  // same deterministic scenario.
-  auto run = [](auto lock_tag) {
-    using L = decltype(lock_tag);
-    sim::Machine m(TwoSocketSmall());
-    L lock;
-    for (int t = 0; t < 6; ++t) {
-      m.Spawn([&, t] {
-        sim::Machine::Active()->AdvanceLocalWork(
-            static_cast<std::uint64_t>(t) * 400 + 1);
-        typename L::Handle h;
-        lock.Lock(h);
-        if (t == 0) {
-          sim::Machine::Active()->AdvanceLocalWork(200'000);
-        }
-        lock.Unlock(h);
-      });
-    }
-    m.Run();
-    return m.TotalStats().loads;
+TYPED_TEST(CnaQueueTest, UntaggedFallbackReadsTheSocketField) {
+  namespace queue = locks::cna_queue;
+  TypeParam n;
+  for (int socket : {63, 64, 1000, -1}) {
+    n.socket.store(socket);
+    TypeParam* link = queue::Tagged(&n, socket);
+    EXPECT_EQ(link, &n) << socket;
+    EXPECT_EQ(queue::Ptr(link), &n) << socket;
+    EXPECT_EQ(queue::SocketOf(link), socket);
+  }
+}
+
+// Queue me(0) -> a(1) -> b(1) -> c(0) -> d(1): the walk moves [a, b] to the
+// secondary queue with the a->b link still tagged, hands over to c, and the
+// flush splices the secondary queue in front of d's tagged link verbatim.
+TYPED_TEST(CnaQueueTest, WalkAndSplicePreserveTaggedLinks) {
+  namespace queue = locks::cna_queue;
+  TypeParam me, a, b, c, d;
+  const auto link = [](TypeParam& n, int socket) {
+    n.socket.store(socket);
+    return queue::Tagged(&n, socket);
   };
-  const auto tagged_loads = run(TaggedCna{});
-  const auto plain_loads = run(SimCna{});
-  EXPECT_LT(tagged_loads, plain_loads);
+  me.socket.store(0);
+  me.spin.store(1);
+  me.next.store(link(a, 1));
+  a.next.store(link(b, 1));
+  b.next.store(link(c, 0));
+  TypeParam* const to_d = link(d, 1);
+  c.next.store(to_d);
+
+  std::uintptr_t spin = 1;
+  const auto found =
+      queue::FindSuccessor<RealPlatform>(me, me.next.load(), spin);
+  EXPECT_EQ(found.node, &c);
+  EXPECT_EQ(found.moved, 2u);
+  EXPECT_EQ(spin, reinterpret_cast<std::uintptr_t>(&a));
+  EXPECT_EQ(me.spin.load(), spin);
+  EXPECT_EQ(a.sec_tail.load(), &b);
+  EXPECT_EQ(a.next.load(), queue::Tagged(&b, 1));
+  EXPECT_EQ(b.next.load(), nullptr);
+
+  EXPECT_EQ(queue::SpliceSecondary(spin, to_d), &a);
+  EXPECT_EQ(b.next.load(), to_d);
+  d.socket.store(7);  // the spliced link still classifies d from its tag
+  EXPECT_EQ(queue::SocketOf(b.next.load()), 1);
+}
+
+// A walk that finds a local successor while a secondary queue exists appends
+// the crossed segment behind the secondary tail.
+TYPED_TEST(CnaQueueTest, WalkAppendsToAnExistingSecondaryQueue) {
+  namespace queue = locks::cna_queue;
+  TypeParam me, s, x, c;
+  s.socket.store(1);
+  s.sec_tail.store(&s);
+  me.socket.store(0);
+  me.next.store(queue::Tagged(&x, 1));
+  x.socket.store(1);
+  x.next.store(queue::Tagged(&c, 0));
+  c.socket.store(0);
+
+  std::uintptr_t spin = reinterpret_cast<std::uintptr_t>(&s);
+  me.spin.store(spin);
+  const auto found =
+      queue::FindSuccessor<RealPlatform>(me, me.next.load(), spin);
+  EXPECT_EQ(found.node, &c);
+  EXPECT_EQ(found.moved, 1u);
+  EXPECT_EQ(spin, reinterpret_cast<std::uintptr_t>(&s));
+  EXPECT_EQ(s.next.load(), &x);
+  EXPECT_EQ(s.sec_tail.load(), &x);
+  EXPECT_EQ(x.next.load(), nullptr);
 }
 
 // ---------- Section 7.1.1 queue-alteration statistics ----------

@@ -173,6 +173,8 @@ TEST(PthreadApi, TrylockReturnsEbusyWhenHeld) {
 
 TEST(PthreadApi, RejectsBadInputs) {
   EXPECT_EQ(cna_mutex_create("definitely-not-a-lock"), nullptr);
+  // The socket-tagged queue is every CNA kind's only form, not a kind.
+  EXPECT_EQ(cna_mutex_create("cna-tag"), nullptr);
   EXPECT_EQ(cna_mutex_create(nullptr), nullptr);
   EXPECT_EQ(cna_mutex_lock(nullptr), EINVAL);
   EXPECT_EQ(cna_mutex_unlock(nullptr), EINVAL);

@@ -41,7 +41,6 @@ class RealLockTest : public ::testing::Test {};
 using RealLockTypes = ::testing::Types<
     locks::McsLock<RealPlatform>, locks::CnaLock<RealPlatform>,
     locks::CnaLock<RealPlatform, locks::CnaShuffleReductionConfig>,
-    locks::CnaLock<RealPlatform, locks::CnaSocketInNextConfig>,
     locks::McscrLock<RealPlatform>, locks::TasLock<RealPlatform>, locks::TtasLock<RealPlatform>,
     locks::BackoffTasLock<RealPlatform>, locks::TicketLock<RealPlatform>,
     locks::PartitionedTicketLock<RealPlatform>, locks::ClhLock<RealPlatform>,
@@ -177,7 +176,6 @@ class SimLockTest : public ::testing::Test {};
 using SimLockTypes = ::testing::Types<
     locks::McsLock<SimPlatform>, locks::CnaLock<SimPlatform>,
     locks::CnaLock<SimPlatform, locks::CnaShuffleReductionConfig>,
-    locks::CnaLock<SimPlatform, locks::CnaSocketInNextConfig>,
     locks::McscrLock<SimPlatform>, locks::TasLock<SimPlatform>, locks::TtasLock<SimPlatform>,
     locks::BackoffTasLock<SimPlatform>, locks::TicketLock<SimPlatform>,
     locks::PartitionedTicketLock<SimPlatform>, locks::ClhLock<SimPlatform>,

@@ -179,6 +179,38 @@ TEST(Qspinlock, CnaSecondaryQueueReinstallsTail) {
   EXPECT_EQ(lock.RawValue(), 0u);
 }
 
+// The paper's Figure 1 on the CNA slow path.  A holder (socket 0) and the
+// pending waiter (socket 1) keep the word busy while t0..t5 queue on
+// alternating sockets 0,1,0,1,0,1.  The queue serves t0's socket first and
+// then flushes the secondary queue: t0, t2, t4, t1, t3, t5.  Headship passes
+// classify waiters from their socket-tagged links; pinned exactly, the
+// scenario costs 148 simulated loads.
+TEST(Qspinlock, CnaFigure1OrderAndLoadCount) {
+  sim::MachineConfig cfg;
+  cfg.topology = numa::Topology::Uniform(2, 4);
+  sim::Machine m(cfg);
+  CnaSim lock;
+  std::vector<int> queued_order;
+  for (int f = 0; f < 8; ++f) {
+    m.Spawn([&, f] {
+      sim::Machine::Active()->AdvanceLocalWork(
+          static_cast<std::uint64_t>(f) * 300 + 1);
+      lock.Lock();
+      if (f == 0) {
+        sim::Machine::Active()->AdvanceLocalWork(100'000);
+      }
+      if (f >= 2) {
+        queued_order.push_back(f - 2);
+      }
+      lock.Unlock();
+    });
+  }
+  m.Run();
+  EXPECT_EQ(queued_order, (std::vector<int>{0, 2, 4, 1, 3, 5}));
+  EXPECT_EQ(lock.RawValue(), 0u);
+  EXPECT_EQ(m.TotalStats().loads, 148u);
+}
+
 TEST(Qspinlock, NestingTwoLocksUsesDistinctNodes) {
   sim::MachineConfig cfg;
   cfg.topology = numa::Topology::Uniform(2, 4);

@@ -6,6 +6,7 @@
 // parser.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <string>
@@ -452,6 +453,48 @@ TEST(TelemetryConcurrency, SimFibersRecordExactCounts) {
   m.Run();
   EXPECT_EQ(h.Snapshot().count,
             static_cast<std::uint64_t>(kFibers) * kPerFiber);
+}
+
+// Snapshots taken while two threads record: each snapshot's count is the sum
+// of its buckets, so every window delta's percentiles stay inside the
+// recorded range (a count read apart from the buckets ran ahead of them and
+// sent p99 past the last bucket).
+TEST(TelemetryConcurrency, SnapshotsDuringRecordingStayConsistent) {
+  telemetry::Registry registry;
+  telemetry::Histogram& h = registry.GetHistogram("race.ns");
+  constexpr std::uint64_t kLargest = 127;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 2; ++t) {
+    recorders.emplace_back([&h, &stop, t] {
+      const std::uint64_t value = t == 0 ? 100 : kLargest;
+      while (!stop.load(std::memory_order_relaxed)) {
+        h.RecordAt(0, t, value);
+      }
+    });
+  }
+  telemetry::RegistrySnapshot prev = registry.Snapshot();
+  int bad_count = 0;
+  int bad_p99 = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const telemetry::RegistrySnapshot cur = registry.Snapshot();
+    const telemetry::HistogramSnapshot& total = cur.histograms[0].total;
+    std::uint64_t in_buckets = 0;
+    for (std::uint64_t b : total.buckets) {
+      in_buckets += b;
+    }
+    bad_count += total.count != in_buckets;
+    const telemetry::RegistrySnapshot delta = telemetry::Delta(prev, cur);
+    bad_p99 += delta.histograms[0].total.P99() > kLargest;
+    prev = cur;
+  }
+  stop.store(true);
+  for (auto& r : recorders) {
+    r.join();
+  }
+  EXPECT_EQ(bad_count, 0);
+  EXPECT_EQ(bad_p99, 0);
+  EXPECT_GT(h.Snapshot().count, 0u);
 }
 
 // ---------------------------------------------------------------------------
