@@ -59,6 +59,10 @@ std::pair<double, double> ThroughputAndFairness(int threads,
 int main() {
   const std::uint64_t window = DefaultWindowNs();
   const int threads = 32;
+  harness::SetBenchInfo("ablation_cna_params",
+                        "threads=" + std::to_string(threads) +
+                            " window_ns=" + std::to_string(window) +
+                            " key_range=1024");
 
   {
     harness::SeriesTable table(

@@ -12,6 +12,7 @@
 #define CNA_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,42 +87,66 @@ harness::RunResult RunKvPoint(const sim::MachineConfig& machine_cfg,
 }
 
 // Metric selectors for the kv sweep.
-enum class Metric { kThroughput, kFairness, kRemoteMissRate };
+enum class Metric {
+  kThroughput,
+  kFairness,
+  kRemoteMissRate,
+  kRemoteMissesPerOp,
+};
 
 inline double SelectMetric(const harness::RunResult& r, Metric m) {
   switch (m) {
     case Metric::kThroughput: return r.throughput_mops;
     case Metric::kFairness: return r.fairness;
     case Metric::kRemoteMissRate: return r.remote_miss_rate;
+    case Metric::kRemoteMissesPerOp:
+      return r.total_ops == 0
+                 ? 0.0
+                 : static_cast<double>(r.cache_stats.remote_misses) /
+                       static_cast<double>(r.total_ops);
   }
   return 0.0;
 }
 
-// Full 5-lock kv sweep -> SeriesTable (columns follow UserSpaceLockNames()).
-inline harness::SeriesTable KvSweepTable(const std::string& title,
-                                         const sim::MachineConfig& machine_cfg,
-                                         const std::vector<int>& threads,
-                                         std::uint64_t window_ns,
-                                         const apps::KvBenchOptions& options,
-                                         Metric metric) {
-  harness::SeriesTable table(title, "threads", UserSpaceLockNames());
+// Column suffix of a lock's second and later metrics in a KvSweepTable.
+inline std::string MetricSuffix(Metric m) {
+  switch (m) {
+    case Metric::kThroughput: return " ops/us";
+    case Metric::kFairness: return " fairness";
+    case Metric::kRemoteMissRate: return " miss rate";
+    case Metric::kRemoteMissesPerOp: return " misses/op";
+  }
+  return "";
+}
+
+// Full 5-lock kv sweep -> SeriesTable.  Each lock (UserSpaceLockNames()
+// order) gets one column per metric from one run per point: its first
+// metric's column carries the lock's name, the others the name plus the
+// metric's suffix.
+inline harness::SeriesTable KvSweepTable(
+    const std::string& title, const sim::MachineConfig& machine_cfg,
+    const std::vector<int>& threads, std::uint64_t window_ns,
+    const apps::KvBenchOptions& options,
+    std::initializer_list<Metric> metrics) {
+  std::vector<std::string> series;
+  for (const std::string& lock : UserSpaceLockNames()) {
+    for (Metric m : metrics) {
+      series.push_back(m == *metrics.begin() ? lock : lock + MetricSuffix(m));
+    }
+  }
+  harness::SeriesTable table(title, "threads", series);
   for (int t : threads) {
     std::vector<double> row;
-    row.push_back(
-        SelectMetric(RunKvPoint<Mcs>(machine_cfg, t, window_ns, options),
-                     metric));
-    row.push_back(
-        SelectMetric(RunKvPoint<Cna>(machine_cfg, t, window_ns, options),
-                     metric));
-    row.push_back(
-        SelectMetric(RunKvPoint<CnaOpt>(machine_cfg, t, window_ns, options),
-                     metric));
-    row.push_back(
-        SelectMetric(RunKvPoint<CBoMcs>(machine_cfg, t, window_ns, options),
-                     metric));
-    row.push_back(
-        SelectMetric(RunKvPoint<Hmcs>(machine_cfg, t, window_ns, options),
-                     metric));
+    const auto add = [&row, metrics](const harness::RunResult& r) {
+      for (Metric m : metrics) {
+        row.push_back(SelectMetric(r, m));
+      }
+    };
+    add(RunKvPoint<Mcs>(machine_cfg, t, window_ns, options));
+    add(RunKvPoint<Cna>(machine_cfg, t, window_ns, options));
+    add(RunKvPoint<CnaOpt>(machine_cfg, t, window_ns, options));
+    add(RunKvPoint<CBoMcs>(machine_cfg, t, window_ns, options));
+    add(RunKvPoint<Hmcs>(machine_cfg, t, window_ns, options));
     table.AddRow(t, row);
   }
   return table;

@@ -32,14 +32,14 @@ int main() {
   KvSweepTable(
       "Figure 6: key-value map total throughput (ops/us), 2-socket, "
       "1024 keys, 80/20 lookup/update, no external work",
-      machine, threads, window, kv, Metric::kThroughput)
+      machine, threads, window, kv, {Metric::kThroughput})
       .Emit();
 
   apps::KvBenchOptions update_only = kv;
   update_only.update_pct = 100;
   KvSweepTable(
       "Section 7.1.1 variant: update-only workload (ops/us), 2-socket",
-      machine, threads, window, update_only, Metric::kThroughput)
+      machine, threads, window, update_only, {Metric::kThroughput})
       .Emit();
   return 0;
 }

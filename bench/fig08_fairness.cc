@@ -30,7 +30,7 @@ int main() {
       "Figure 8: fairness factor (0.5 fair .. 1 unfair), 2-socket, "
       "Figure 6 workload",
       sim::MachineConfig::TwoSocket(), threads, DefaultWindowNs(), kv,
-      Metric::kFairness)
+      {Metric::kFairness})
       .Emit();
   return 0;
 }

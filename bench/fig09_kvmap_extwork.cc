@@ -17,11 +17,19 @@ int main() {
   kv.update_pct = 20;
   kv.external_work_ns = 2'000;  // lets the benchmark scale to ~2 sockets' worth
 
+  const auto threads = TwoSocketThreads();
+  const auto window = DefaultWindowNs();
+  harness::SetBenchInfo(
+      "fig09_kvmap_extwork",
+      "threads_max=" + std::to_string(threads.back()) +
+          " window_ns=" + std::to_string(window) +
+          " key_range=1024 external_work_ns=2000");
+
   KvSweepTable(
       "Figure 9: key-value map throughput with external work (ops/us), "
       "2-socket",
-      sim::MachineConfig::TwoSocket(), TwoSocketThreads(), DefaultWindowNs(),
-      kv, Metric::kThroughput)
+      sim::MachineConfig::TwoSocket(), threads, window, kv,
+      {Metric::kThroughput})
       .Emit();
   return 0;
 }

@@ -15,11 +15,18 @@ int main() {
   kv.key_range = 1024;
   kv.update_pct = 20;
 
+  const auto threads = FourSocketThreads();
+  const auto window = DefaultWindowNs();
+  harness::SetBenchInfo(
+      "fig10_kvmap_4socket",
+      "threads_max=" + std::to_string(threads.back()) +
+          " window_ns=" + std::to_string(window) + " key_range=1024");
+
   KvSweepTable(
       "Figure 10: key-value map total throughput (ops/us), 4-socket, "
       "Figure 6 workload",
-      sim::MachineConfig::FourSocket(), FourSocketThreads(), DefaultWindowNs(),
-      kv, Metric::kThroughput)
+      sim::MachineConfig::FourSocket(), threads, window, kv,
+      {Metric::kThroughput})
       .Emit();
   return 0;
 }

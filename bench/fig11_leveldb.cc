@@ -54,6 +54,11 @@ void Sweep(const std::string& title, std::uint64_t prefill,
 
 int main() {
   const std::uint64_t window = DefaultWindowNs();
+  harness::SetBenchInfo(
+      "fig11_leveldb",
+      "threads_max=" + std::to_string(TwoSocketThreads().back()) +
+          " window_ns=" + std::to_string(window) +
+          " prefill_keys=1000000,0");
   Sweep(
       "Figure 11(a): leveldb readrandom throughput (ops/us), pre-filled "
       "1M-key DB, 2-socket",

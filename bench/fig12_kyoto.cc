@@ -31,11 +31,15 @@ double KyotoPoint(int threads, std::uint64_t window_ns) {
 }  // namespace
 
 int main() {
+  const std::uint64_t window = DefaultWindowNs();
+  harness::SetBenchInfo(
+      "fig12_kyoto",
+      "threads_max=" + std::to_string(TwoSocketThreads().back()) +
+          " window_ns=" + std::to_string(window));
   harness::SeriesTable table(
       "Figure 12: Kyoto Cabinet kccachetest wicked throughput (ops/us), "
       "2-socket, 10M key range",
       "threads", UserSpaceLockNames());
-  const std::uint64_t window = DefaultWindowNs();
   for (int t : TwoSocketThreads()) {
     table.AddRow(t, {KyotoPoint<Mcs>(t, window), KyotoPoint<Cna>(t, window),
                      KyotoPoint<CnaOpt>(t, window),

@@ -11,6 +11,10 @@ int main() {
   const auto machine = sim::MachineConfig::FourSocket();
   const auto threads = FourSocketThreads();
   const auto window = DefaultWindowNs();
+  harness::SetBenchInfo(
+      "fig14_locktorture_4s",
+      "threads_max=" + std::to_string(threads.back()) +
+          " window_ns=" + std::to_string(window));
 
   LockTortureSweep(
       "Figure 14(a): locktorture total lock ops (ops/us), 4-socket, lockstat "

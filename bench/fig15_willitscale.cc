@@ -35,6 +35,10 @@ int main() {
   // will-it-scale ops are several microseconds long (mostly non-critical
   // work), so use a wider window than the short-op figures for stable stats.
   const std::uint64_t window = DefaultWindowNs() * 3;
+  harness::SetBenchInfo(
+      "fig15_willitscale",
+      "threads_max=" + std::to_string(TwoSocketThreads().back()) +
+          " window_ns=" + std::to_string(window));
   for (auto b : kernel::AllWisBenchmarks()) {
     harness::SeriesTable table(
         std::string("Figure 15: will-it-scale ") + kernel::WisBenchmarkName(b) +

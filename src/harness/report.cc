@@ -1,5 +1,6 @@
 #include "harness/report.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -141,9 +142,15 @@ void SeriesTable::AddRow(double x, const std::vector<double>& values) {
 std::string SeriesTable::ToText(int value_precision) const {
   std::ostringstream os;
   os << "# " << title_ << "\n";
-  os << std::left << std::setw(12) << x_label_;
+  // Columns are 12 wide, wider where a series name needs it, so a long
+  // name never runs into its neighbour.
+  std::vector<int> widths;
   for (const auto& s : series_) {
-    os << std::right << std::setw(12) << s;
+    widths.push_back(std::max(12, static_cast<int>(s.size()) + 2));
+  }
+  os << std::left << std::setw(12) << x_label_;
+  for (std::size_t i = 0; i < series_.size(); ++i) {
+    os << std::right << std::setw(widths[i]) << series_[i];
   }
   os << "\n";
   os << std::fixed << std::setprecision(value_precision);
@@ -155,8 +162,9 @@ std::string SeriesTable::ToText(int value_precision) const {
       xs << x;
     }
     os << std::left << std::setw(12) << xs.str();
-    for (double v : values) {
-      os << std::right << std::setw(12) << v;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      os << std::right << std::setw(i < widths.size() ? widths[i] : 12)
+         << values[i];
     }
     os << "\n";
   }

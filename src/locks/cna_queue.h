@@ -7,8 +7,9 @@
 // itself in with socket+1 in the low six bits of its predecessor's `next`,
 // and find_successor() classifies each waiter from the link that leads to it
 // instead of missing on the waiter's node.  The tag is always on: it costs an
-// OR per enqueue and an AND per link followed.  A link with tag 0 (socket >=
-// 63, or a segment link written by a splice) falls back to the node's socket.
+// OR per enqueue and an AND per link followed, and every link a walk or a
+// splice writes to a waiter is one that was already tagged.  A link with tag
+// 0 (socket >= 63) falls back to the node's socket.
 #ifndef CNA_LOCKS_CNA_QUEUE_H_
 #define CNA_LOCKS_CNA_QUEUE_H_
 
@@ -84,11 +85,12 @@ Successor<Node> FindSuccessor(Node& me, Node* next_link,
     Node* cur = Ptr(cur_link);
     if (SocketOf(cur_link) == my_socket) {
       // Move [sec_head .. sec_tail] into the secondary queue.  The links
-      // inside the segment keep their tags; the one appending it is plain.
+      // inside the segment keep their tags, and the one appending it is
+      // next_link, the tagged link to sec_head.
       if (spin > 1) {
         reinterpret_cast<Node*>(spin)
             ->sec_tail.load(std::memory_order_relaxed)
-            ->next.store(sec_head, std::memory_order_relaxed);
+            ->next.store(next_link, std::memory_order_relaxed);
       } else {
         // Secondary queue was empty: the segment head becomes its head.
         spin = reinterpret_cast<std::uintptr_t>(sec_head);

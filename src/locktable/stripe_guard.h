@@ -11,12 +11,17 @@
 // release are separate calls.
 //
 // Stamps: stamp 0 is read before the first acquisition (0 when the table is
-// not timing), stamp i+1 when stripe i is owned, and one release stamp at the
-// start of the release.  Stripe i thus waited stamp[i+1] - stamp[i] and was
-// held from stamp[i+1] to the release stamp.  The release unlocks first and
-// publishes those samples afterwards, so telemetry's own bookkeeping stays
-// out of the critical section -- and a guard's wait sample appears at its
-// release, not at its acquisition.
+// not timing) and stamp i+1 is stripe i's ownership stamp.  A timed
+// acquisition tries its stripe once first: if the try wins, stamp i+1 is
+// stamp i and no clock is read; only an acquisition that waited reads the
+// clock once it owns the stripe.  One release stamp is read after the
+// release has unlocked every stripe.  So wait_ns = stamp[i+1] - stamp[i] is
+// the time stripe i spent queued behind a holder (0 when the first try
+// succeeded), and hold_ns runs from stamp[i+1] to the end of the release.
+// An acquisition that did not wait reads no clock between taking ownership
+// and releasing.  The samples are published after the release too, so
+// telemetry's bookkeeping stays out of the critical section -- and a
+// guard's wait sample appears at its release, not at its acquisition.
 //
 // The guards call four hooks on the table, for each access mode it
 // supports:
@@ -55,10 +60,9 @@ class StripeGuard {
                               t0_);
   }
   ~StripeGuard() {
-    const std::uint64_t t2 = t0_ != 0 ? telemetry::NowNs() : 0;
     table_.GuardRelease(Access{}, stripe_, handle_);
     if (t0_ != 0) {
-      table_.GuardRecord(Access{}, t0_, t1_, t2);
+      table_.GuardRecord(Access{}, t0_, t1_, telemetry::NowNs());
     }
   }
 
@@ -118,9 +122,9 @@ class StripeMultiGuard {
     }
   }
   ~StripeMultiGuard() {
-    const std::uint64_t t2 = stamps_[0] != 0 ? telemetry::NowNs() : 0;
     ReleaseAll();
     if (stamps_[0] != 0) {
+      const std::uint64_t t2 = telemetry::NowNs();
       for (std::size_t i = 0; i < count_; ++i) {
         table_.GuardRecord(Access{}, stamps_[i], stamps_[i + 1], t2);
       }

@@ -77,13 +77,21 @@ struct LockTableOptions {
   bool blocking = false;
 };
 
-// The core's latency sink, allocated only with collect_latency: acquisition
-// latency (entry to ownership) and hold time per access mode -- exclusive at
-// index 0, shared at index 1 -- plus a HoldTracker for acquire->release
-// pairing on the handle-free surface (the RAII guards carry their own
-// stamps, stripe_guard.h).  Each histogram is registered as prefix + the
-// flavor's suffix; a null suffix leaves that mode's wait or hold untimed
-// (RwLockTable does not time read holds).
+// The core's latency sink, allocated only with collect_latency: wait and
+// hold time per access mode -- exclusive at index 0, shared at index 1 --
+// plus a HoldTracker for acquire->release pairing on the handle-free surface
+// (the RAII guards carry their own stamps, stripe_guard.h).  One sample of
+// each per acquisition:
+//  * wait_ns is the time queued behind a holder: entry stamp to ownership
+//    stamp.  It is 0 when the acquisition's first try-lock succeeded.
+//  * hold_ns runs from ownership to the end of the release (the release
+//    stamp is read after unlocking).  For a first-try success it starts at
+//    entry, so it includes the try itself.
+// Kinds with no try path in a mode stamp ownership after Lock() returns, so
+// their wait includes the acquisition itself even when nothing queued.  Each
+// histogram is registered as prefix + the flavor's suffix; a null suffix
+// leaves that mode's wait or hold untimed (RwLockTable does not time read
+// holds).
 struct StripeLatency {
   StripeLatency(const char* prefix, const char* const (&wait_suffix)[2],
                 const char* const (&hold_suffix)[2]) {
@@ -222,9 +230,10 @@ class StripeTable {
     static_assert(kCanTry<A>, "try-lock requires a try-lock path in mode A");
     HandlePool<P, L>& pool = pools_[kMode<A>];
     Handle& h = pool.Checkout(s);
+    const std::uint64_t t = GuardStart();  // stamped before the try
     if (TryLockIn(A{}, StripeLock(s), h)) {
       CountAcquire(A{}, s, /*contended=*/false, /*multi_key=*/false);
-      if (const std::uint64_t t = GuardStart(); t != 0) {
+      if (t != 0) {
         StartHold(A{}, s, t);
       }
       LockdepAcquired(A{}, s, /*trylock=*/true, /*multi_key=*/false, 0);
@@ -258,8 +267,11 @@ class StripeTable {
     if (h == nullptr) {
       return false;
     }
-    RecordHold(A{}, s);
+    const std::uint64_t t_owned = EndHold(A{}, s);
     ReleaseWith(A{}, s, *h);
+    if (t_owned != 0) {
+      Record(lat_->hold[kMode<A>], telemetry::NowNs() - t_owned);
+    }
     pool.Recycle(h);
     return true;
   }
@@ -400,53 +412,75 @@ class StripeTable {
 
   // Locks stripe s in mode A through handle h, whoever owns it (a pool
   // checkout or a guard), and reports it to lockdep.  Returns the ownership
-  // stamp, 0 when not timing (t_prev == 0).
+  // stamp, 0 when not timing (t_prev == 0).  A timed acquisition tries the
+  // stripe once first (lock_stat's LOCK_CONTENDED shape): if that try wins,
+  // it did not wait, and t_prev is its ownership stamp, so no clock is read
+  // between taking ownership and releasing.  Only an acquisition that waited
+  // -- or one of a kind with no try path in mode A -- reads the clock once
+  // it owns the stripe.
   template <typename A>
   std::uint64_t LockTimed(A, std::size_t s, Handle& h, bool multi_key,
                           std::uint64_t t_prev) {
-    LockWith(A{}, s, h, multi_key);
-    const std::uint64_t t1 = t_prev != 0 ? telemetry::NowNs() : 0;
+    std::uint64_t t1 = 0;
+    if (t_prev == 0) {
+      LockWith<false>(A{}, s, h, multi_key);
+    } else {
+      t1 = LockWith<true>(A{}, s, h, multi_key) ? telemetry::NowNs() : t_prev;
+    }
     LockdepAcquired(A{}, s, /*trylock=*/false, multi_key, t1 - t_prev);
     return t1;
   }
 
-  // The plain case is the undisturbed one-SWAP acquisition, small enough to
-  // inline into both surfaces; parking and the stats probe sit out of line
+  // Returns false when a first try-lock took the stripe, true when the
+  // acquisition may have waited (the try failed, or nothing tried).
+  // kProbe asks for that first try whenever mode A has one; without it, the
+  // plain case is the undisturbed one-SWAP acquisition, small enough to
+  // inline into both surfaces.  Parking and the stats probe sit out of line
   // in LockWithPolicies.
-  template <typename A>
-  void LockWith(A, std::size_t s, Handle& h, bool multi_key) {
+  template <bool kProbe, typename A>
+  bool LockWith(A, std::size_t s, Handle& h, bool multi_key) {
     if (!(kTableParks && blocking_) && !stats_.enabled()) {
-      LockIn(A{}, StripeLock(s), h);
-      return;
+      L& lock = StripeLock(s);
+      if constexpr (kProbe && kCanTry<A>) {
+        if (TryLockIn(A{}, lock, h)) {
+          return false;
+        }
+      }
+      LockIn(A{}, lock, h);
+      return true;
     }
-    LockWithPolicies(A{}, s, h, multi_key);
+    return LockWithPolicies(A{}, s, h, multi_key, kProbe);
   }
 
   template <typename A>
-  void LockWithPolicies(A, std::size_t s, Handle& h, bool multi_key) {
+  bool LockWithPolicies(A, std::size_t s, Handle& h, bool multi_key,
+                        bool probe) {
     L& lock = StripeLock(s);
     if constexpr (kTableParks) {
       if (blocking_) {
-        AcquireParked(A{}, lock, h, s, multi_key);
-        return;
+        return AcquireParked(A{}, lock, h, s, multi_key);
       }
     }
     // Stats mode probes with a try-lock first so contention (a writer
     // waiting for readers to drain, or for another writer) is observable,
-    // sampled when stats_probe_period > 1.
+    // sampled when stats_probe_period > 1.  A timed acquisition probes
+    // anyway, but only a sampled probe counts as contended.
     if constexpr (kCanTry<A>) {
-      if (probe_mask_ == 0 || (P::Random() & probe_mask_) == 0) {
-        const bool contended = !TryLockIn(A{}, lock, h);
-        if (contended) {
+      const bool sampled =
+          probe_mask_ == 0 || (P::Random() & probe_mask_) == 0;
+      if (sampled || probe) {
+        const bool waited = !TryLockIn(A{}, lock, h);
+        if (waited) {
           LockIn(A{}, lock, h);
         }
-        CountAcquire(A{}, s, contended, multi_key);
-        return;
+        CountAcquire(A{}, s, sampled && waited, multi_key);
+        return waited;
       }
     }
     // Not sampled, or the lock has no try-lock path to probe with.
     LockIn(A{}, lock, h);
     CountAcquire(A{}, s, /*contended=*/false, multi_key);
+    return true;
   }
 
   template <typename A>
@@ -461,8 +495,9 @@ class StripeTable {
   // a sleeping waiter (the lost-wakeup proof is in parking_lot.h).  Wakeups
   // barge: a woken waiter retries against concurrent arrivals and re-parks
   // if it loses, trading strict FIFO for the unlock-side fast path.
+  // Returns whether the first try failed.
   template <typename A>
-  void AcquireParked(A, L& lock, Handle& h, std::size_t s, bool multi_key) {
+  bool AcquireParked(A, L& lock, Handle& h, std::size_t s, bool multi_key) {
     bool acquired = TryLockIn(A{}, lock, h);
     const bool contended = !acquired;
     for (std::uint32_t spin = 0;
@@ -481,6 +516,7 @@ class StripeTable {
           parking::kBlockingParkTimeoutNs);
     }
     CountAcquire(A{}, s, contended, multi_key);
+    return contended;
   }
 
   // Unlocks stripe s in mode A through handle h and wakes parked waiters.
@@ -506,11 +542,11 @@ class StripeTable {
     }
   }
 
-  // Latency helpers.  Handle-free hold time runs from ownership
-  // (Acquire/TryAcquire completion) to the start of the release, paired
-  // through the HoldTracker; a mode whose hold is not timed (null histogram)
-  // skips the tracker.  Best-effort: a Pop miss (tracker overflow, telemetry
-  // enabled mid-hold) records nothing.
+  // Latency helpers.  Handle-free hold time runs from the ownership stamp
+  // (LockTimed's; TryAcquire's entry stamp) to the end of the release,
+  // paired through the HoldTracker; a mode whose hold is not timed (null
+  // histogram) skips the tracker.  Best-effort: a Pop miss (tracker
+  // overflow, telemetry enabled mid-hold) records nothing.
   static void Record(telemetry::Histogram* h, std::uint64_t ns) {
     if (h != nullptr) {
       h->RecordAt(P::CurrentSocket(), P::CpuId(), ns);
@@ -524,15 +560,16 @@ class StripeTable {
     }
   }
 
+  // The ownership stamp of this context's handle-free hold of stripe s, or
+  // 0 when there is none to time.  Reads no clock: the caller stamps the
+  // release after unlocking.
   template <typename A>
-  void RecordHold(A, std::size_t s) {
+  std::uint64_t EndHold(A, std::size_t s) {
     if (lat_ != nullptr && telemetry::Enabled() &&
         lat_->hold[kMode<A>] != nullptr) {
-      const std::uint64_t t0 = lat_->tracker.Pop(P::CpuId(), s);
-      if (t0 != 0) {
-        Record(lat_->hold[kMode<A>], telemetry::NowNs() - t0);
-      }
+      return lat_->tracker.Pop(P::CpuId(), s);
     }
+    return 0;
   }
 
   // Lockdep hooks (src/telemetry/lockdep.h): stripes of one table share a

@@ -8,8 +8,11 @@
 //
 // Design rules, inherited from cna_stats.h:
 //  * Diagnostics, not simulated state.  Every cell is a plain std::atomic
-//    (never P::Atomic), so the NUMA simulator charges nothing for recording
-//    and schedules identically with telemetry on or off.
+//    (never P::Atomic), so the NUMA simulator charges nothing for recording.
+//    The one charged cost is a timed lock-table acquisition's probe
+//    (locktable/stripe_table.h): the stripe lock's own try-lock, a P::Atomic
+//    CAS charged like the stats probe, so a timed acquisition that finds its
+//    stripe held pays one failed CAS before it queues.
 //  * Near-zero overhead when off.  Recording is guarded by a single relaxed
 //    load of a process-global flag; instrumented slow paths additionally hide
 //    behind compile-time config flags so the default build carries no

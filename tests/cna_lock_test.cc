@@ -325,7 +325,7 @@ TEST(CnaFairness, AllThreadsFinishWithDefaultThreshold) {
 // ---------- Section 6 socket-tagged queue links (locks/cna_queue.h) ----------
 
 // Releases classify waiters from their tagged links, not from the waiters'
-// nodes.  Pinned exactly: the Figure 1 scenario costs 80 simulated loads.
+// nodes.  Pinned exactly: the Figure 1 scenario costs 79 simulated loads.
 TEST(CnaTagged, Figure1ScenarioLoadCount) {
   sim::Machine m(TwoSocketSmall());
   SimCna lock;
@@ -342,7 +342,7 @@ TEST(CnaTagged, Figure1ScenarioLoadCount) {
     });
   }
   m.Run();
-  EXPECT_EQ(m.TotalStats().loads, 80u);
+  EXPECT_EQ(m.TotalStats().loads, 79u);
 }
 
 // The queue module on both node types it serves: CnaLock's handle and the
@@ -414,7 +414,7 @@ TYPED_TEST(CnaQueueTest, WalkAndSplicePreserveTaggedLinks) {
 }
 
 // A walk that finds a local successor while a secondary queue exists appends
-// the crossed segment behind the secondary tail.
+// the crossed segment behind the secondary tail, through its tagged link.
 TYPED_TEST(CnaQueueTest, WalkAppendsToAnExistingSecondaryQueue) {
   namespace queue = locks::cna_queue;
   TypeParam me, s, x, c;
@@ -433,7 +433,7 @@ TYPED_TEST(CnaQueueTest, WalkAppendsToAnExistingSecondaryQueue) {
   EXPECT_EQ(found.node, &c);
   EXPECT_EQ(found.moved, 1u);
   EXPECT_EQ(spin, reinterpret_cast<std::uintptr_t>(&s));
-  EXPECT_EQ(s.next.load(), &x);
+  EXPECT_EQ(s.next.load(), queue::Tagged(&x, 1));
   EXPECT_EQ(s.sec_tail.load(), &x);
   EXPECT_EQ(x.next.load(), nullptr);
 }

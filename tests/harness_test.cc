@@ -108,6 +108,18 @@ TEST(SeriesTable, TextFormat) {
   EXPECT_NE(text.find("70"), std::string::npos);
 }
 
+TEST(SeriesTable, LongSeriesNamesStaySeparated) {
+  harness::SeriesTable t("fig", "threads",
+                         {"CNA-opt misses/op", "C-BO-MCS misses/op"});
+  t.AddRow(2, {9.49, 1.37});
+  const std::string text = t.ToText();
+  EXPECT_NE(text.find("CNA-opt misses/op  C-BO-MCS misses/op"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("9.49"), std::string::npos);
+  EXPECT_NE(text.find(" 1.37"), std::string::npos);
+}
+
 TEST(SeriesTable, CsvFormat) {
   harness::SeriesTable t("fig", "threads", {"a", "b"});
   t.AddRow(2, {1.5, 2.5});

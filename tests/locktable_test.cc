@@ -4,9 +4,13 @@
 // no deadlock -- Machine::Run() throws on one -- and no lost updates).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/mini_leveldb.h"
@@ -267,6 +271,157 @@ TEST(LockTable, GuardLatencySamplesMatchAcquisitions) {
   telemetry::SetEnabled(false);
   EXPECT_EQ(wait.Snapshot().count - wait0, acquisitions);
   EXPECT_EQ(hold.Snapshot().count - hold0, acquisitions);
+}
+
+// ---------- Latency definitions ----------
+//
+// wait_ns is the time queued behind a holder, 0 when the first try-lock
+// succeeded; hold_ns runs from ownership (entry, for a first-try success) to
+// the end of the release.
+
+// Snapshot deltas of one table's wait and hold histograms.
+class LatencyProbe {
+ public:
+  LatencyProbe(const std::string& wait_name, const std::string& hold_name)
+      : wait_(telemetry::Registry::Global().GetHistogram(wait_name)),
+        hold_(telemetry::Registry::Global().GetHistogram(hold_name)),
+        wait0_(wait_.Snapshot()),
+        hold0_(hold_.Snapshot()) {}
+
+  telemetry::HistogramSnapshot Waits() const {
+    return wait_.Snapshot() - wait0_;
+  }
+  telemetry::HistogramSnapshot Holds() const {
+    return hold_.Snapshot() - hold0_;
+  }
+
+ private:
+  telemetry::Histogram& wait_;
+  telemetry::Histogram& hold_;
+  telemetry::HistogramSnapshot wait0_;
+  telemetry::HistogramSnapshot hold0_;
+};
+
+// Samples at or above 2^20 ns (about 1 ms): log2 buckets 21 and up.
+std::uint64_t SamplesAtLeast1Ms(const telemetry::HistogramSnapshot& s) {
+  std::uint64_t n = 0;
+  for (int b = telemetry::BucketOf(std::uint64_t{1} << 20);
+       b < telemetry::kHistBuckets; ++b) {
+    n += s.buckets[static_cast<std::size_t>(b)];
+  }
+  return n;
+}
+
+TEST(LockTableLatency, UncontendedGuardsRecordZeroWaits) {
+  telemetry::SetEnabled(true);
+  RealTable table({.stripes = 64,
+                   .collect_latency = true,
+                   .metrics_name = "locktable_test.uncontended"});
+  const LatencyProbe probe("locktable_test.uncontended.wait_ns",
+                           "locktable_test.uncontended.hold_ns");
+  constexpr std::uint64_t kGuards = 100;
+  for (std::uint64_t k = 0; k < kGuards; ++k) {
+    RealTable::Guard g(table, k);
+  }
+  telemetry::SetEnabled(false);
+  const auto waits = probe.Waits();
+  EXPECT_EQ(waits.count, kGuards);
+  EXPECT_EQ(waits.buckets[0], kGuards);
+  EXPECT_EQ(waits.sum, 0u);
+  EXPECT_EQ(probe.Holds().count, kGuards);
+}
+
+TEST(LockTableLatency, GuardBehindAHolderRecordsItsWait) {
+  telemetry::SetEnabled(true);
+  RealTable table({.stripes = 64,
+                   .collect_latency = true,
+                   .metrics_name = "locktable_test.queued"});
+  const LatencyProbe probe("locktable_test.queued.wait_ns",
+                           "locktable_test.queued.hold_ns");
+  std::atomic<bool> started{false};
+  std::thread waiter;
+  {
+    RealTable::Guard holder(table, 7);
+    waiter = std::thread([&] {
+      started.store(true);
+      RealTable::Guard g(table, 7);
+    });
+    while (!started.load()) {
+      std::this_thread::yield();
+    }
+    // Held well past 2 ms, with slack for the other thread to reach its
+    // first try while the stripe is still held.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  waiter.join();
+  telemetry::SetEnabled(false);
+  const auto waits = probe.Waits();
+  EXPECT_EQ(waits.count, 2u);       // one sample per acquisition
+  EXPECT_EQ(waits.buckets[0], 1u);  // the holder's first try succeeded
+  EXPECT_EQ(SamplesAtLeast1Ms(waits), 1u);
+  const auto holds = probe.Holds();
+  EXPECT_EQ(holds.count, 2u);
+  EXPECT_GE(SamplesAtLeast1Ms(holds), 1u);  // the holder's
+}
+
+TEST(LockTableLatency, HandleFreeLockAndTryLockRecordLikeGuards) {
+  telemetry::SetEnabled(true);
+  RealTable table({.stripes = 64,
+                   .collect_latency = true,
+                   .metrics_name = "locktable_test.handle_free"});
+  const LatencyProbe probe("locktable_test.handle_free.wait_ns",
+                           "locktable_test.handle_free.hold_ns");
+  constexpr std::uint64_t kRounds = 40;
+  for (std::uint64_t k = 0; k < kRounds; ++k) {
+    table.Lock(k);
+    table.Unlock(k);
+  }
+  auto waits = probe.Waits();
+  EXPECT_EQ(waits.count, kRounds);
+  EXPECT_EQ(waits.buckets[0], kRounds);
+  EXPECT_EQ(probe.Holds().count, kRounds);
+
+  // A try-lock records its hold; it never queues, so it has no wait.
+  for (std::uint64_t k = 0; k < kRounds; ++k) {
+    ASSERT_TRUE(table.TryLock(k));
+    table.Unlock(k);
+  }
+  telemetry::SetEnabled(false);
+  EXPECT_EQ(probe.Waits().count, kRounds);
+  EXPECT_EQ(probe.Holds().count, 2 * kRounds);
+}
+
+TEST(LockTableLatency, ReadGuardBehindAWriterRecordsAWait) {
+  using RwTable = locktable::RwLockTable<RealPlatform,
+                                         locks::CnaRwLock<RealPlatform>>;
+  telemetry::SetEnabled(true);
+  RwTable table({.stripes = 64,
+                 .collect_latency = true,
+                 .metrics_name = "locktable_test.rw"});
+  const LatencyProbe probe("locktable_test.rw.read_wait_ns",
+                           "locktable_test.rw.write_hold_ns");
+  std::atomic<bool> started{false};
+  std::thread reader;
+  {
+    RwTable::WriteGuard writer(table, 3);
+    reader = std::thread([&] {
+      started.store(true);
+      RwTable::ReadGuard g(table, 3);
+    });
+    while (!started.load()) {
+      std::this_thread::yield();
+    }
+    // Held well past 2 ms, with slack for the other thread to reach its
+    // first try while the stripe is still held.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  reader.join();
+  telemetry::SetEnabled(false);
+  const auto waits = probe.Waits();
+  EXPECT_EQ(waits.count, 1u);
+  EXPECT_EQ(waits.buckets[0], 0u);
+  EXPECT_GT(waits.sum, 0u);
+  EXPECT_EQ(probe.Holds().count, 1u);  // the writer's
 }
 
 TEST(LockTable, RejectsAbsurdStripeCounts) {
